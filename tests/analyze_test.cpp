@@ -106,6 +106,36 @@ TEST(AnalyzeGolden, RingPfcFailureSweepWithRepairs) {
             read_file(GFC_TEST_DATA_DIR "/golden/ring3_pfc_failures.json"));
 }
 
+// A fat-tree sweep in which 8 of the 528 combos truncate at 4096 cycles.
+// Regenerate with:
+//   build/tools/gfc-analyze fattree:4 --fc pfc --failures 2
+//     --json tests/golden/fattree4_pfc_failures2.json
+TEST(AnalyzeGolden, FatTreeFailureSweepPfc) {
+  BuiltScenario sc;
+  std::string err;
+  ASSERT_TRUE(build_scenario("fattree:4", &sc, &err)) << err;
+  Input in;
+  in.topo = &sc.topo;
+  in.routing = &sc.routing;
+  in.cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  in.flows = sc.flows;
+  in.scenario = sc.name;
+  EXPECT_EQ(sweep_failures(in, 2).json(),
+            read_file(GFC_TEST_DATA_DIR "/golden/fattree4_pfc_failures2.json"));
+}
+
+// A truncated report: the first 16 cycles in enumeration order, listed in
+// canonical order. Regenerate with:
+//   build/tools/gfc-analyze fattree:4:seed=12 --fc pfc --max-cycles 16
+//     --json tests/golden/fattree4_seed12_pfc_max16.json
+TEST(AnalyzeGolden, FatTreeSeed12TruncatedPfc) {
+  const Report r = analyze_spec(
+      "fattree:4:seed=12", cli_config(runner::FcKind::kPfc, 300'000), 16);
+  EXPECT_TRUE(r.truncated);
+  EXPECT_EQ(r.json(), read_file(GFC_TEST_DATA_DIR
+                                "/golden/fattree4_seed12_pfc_max16.json"));
+}
+
 // --- Structural properties of the enumeration. ---
 
 /// Every reported cycle must be an elementary cycle of the real
