@@ -1,12 +1,16 @@
 // Engine microbenchmarks (google-benchmark): event scheduler, packet pool,
-// rate-limiter math, routing computation, end-to-end simulation rate.
+// rate-limiter math, routing computation, the CBD screen, end-to-end
+// simulation rate.
 #include <benchmark/benchmark.h>
 
+#include "analyze/analyze.hpp"
 #include "core/rate_limiter.hpp"
 #include "net/network.hpp"
 #include "runner/scenarios.hpp"
+#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "topo/routing.hpp"
+#include "topo/scenario_gen.hpp"
 
 namespace {
 
@@ -92,6 +96,44 @@ void BM_FatTreeRouting(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FatTreeRouting)->Arg(4)->Arg(8);
+
+void BM_CbdScreen(benchmark::State& state) {
+  // Table 1's CBD pre-filter (the scan_scale loop body) on its seed
+  // fabrics: a k-ary fat-tree with 5% random switch-link failures from the
+  // k-salted seed stream and shortest-path routing, then one screen_cbd —
+  // the routing-closure dependency graph plus one witness DFS. Fabrics are
+  // built before timing, and iterations cycle through two CBD-free and two
+  // CBD-prone seeds. Table 1's 40 k = 16 seeds hold no prone one, and one
+  // k = 16 routing table takes ~90 MB, so that row screens seed 1 only.
+  const int k = static_cast<int>(state.range(0));
+  const std::vector<std::uint64_t> seeds =
+      k == 4 ? std::vector<std::uint64_t>{1, 2, 12, 22}
+      : k == 8 ? std::vector<std::uint64_t>{1, 2, 65, 66}
+               : std::vector<std::uint64_t>{1};
+  struct SeedFabric {
+    topo::Topology topo;
+    topo::RoutingTable routing;
+  };
+  std::vector<SeedFabric> fabrics(seeds.size());
+  for (std::size_t i = 0; i < fabrics.size(); ++i) {
+    topo::build_fattree(fabrics[i].topo, k);
+    sim::Rng rng(seeds[i] * 7919 + static_cast<std::uint64_t>(k));
+    topo::random_failures(fabrics[i].topo, rng, 0.05);
+    fabrics[i].routing = topo::compute_shortest_paths(fabrics[i].topo);
+  }
+  std::size_t next = 0;
+  std::int64_t prone = 0;
+  for (auto _ : state) {
+    const SeedFabric& f = fabrics[next++ % fabrics.size()];
+    analyze::CbdScreen screen = analyze::screen_cbd(f.topo, f.routing);
+    benchmark::DoNotOptimize(screen.prone);
+    benchmark::DoNotOptimize(screen.witness);
+    prone += screen.prone ? 1 : 0;
+  }
+  state.counters["prone_share"] = benchmark::Counter(
+      static_cast<double>(prone) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_CbdScreen)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMicrosecond);
 
 void BM_RingSimulationGfc(benchmark::State& state) {
   // End-to-end Figure 9 ring: scheduler events executed per second of wall

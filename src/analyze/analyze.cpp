@@ -1,7 +1,7 @@
 #include "analyze/analyze.hpp"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 
 #include "analyze/cycles.hpp"
 #include "analyze/detail.hpp"
@@ -68,12 +68,41 @@ std::vector<DirectedLink> switch_hops(const topo::Topology& topo,
   return hops;
 }
 
-/// Per-cycle metadata over an already-canonical link-form cycle list:
-/// names, flow coverage, activation — everything downstream of the graph
-/// construction the incremental path shortcuts.
-void fill_cycle_infos(const Input& in, detail::LinkCycles cycles,
-                      Report* rep) {
+/// The report's cycle list, each CycleInfo built once in its final slot.
+/// Canonical form rotates every cycle so its smallest link leads; canonical
+/// order sorts by length, then by link sequence. Both are computed on
+/// ranks (rank r = the r-th smallest vertex link), so comparing ranks
+/// compares links and the result never depends on vertex numbering.
+void fill_cycle_infos(const Input& in, const topo::BufferDependencyGraph& graph,
+                      CycleEnumeration cycles, Report* rep) {
   rep->truncated = cycles.truncated;
+  if (cycles.cycles.empty()) return;
+
+  const std::vector<DirectedLink>& links = graph.links();
+  std::vector<int> by_rank(links.size());
+  std::iota(by_rank.begin(), by_rank.end(), 0);
+  std::sort(by_rank.begin(), by_rank.end(), [&links](int a, int b) {
+    return links[static_cast<std::size_t>(a)] <
+           links[static_cast<std::size_t>(b)];
+  });
+  std::vector<int> rank(links.size());
+  std::vector<std::string> names(links.size());  // indexed by rank
+  for (std::size_t r = 0; r < by_rank.size(); ++r) {
+    const auto v = static_cast<std::size_t>(by_rank[r]);
+    rank[v] = static_cast<int>(r);
+    names[r] = in.topo->node(links[v].first).name + "->" +
+               in.topo->node(links[v].second).name;
+  }
+  for (std::vector<int>& cyc : cycles.cycles) {
+    for (int& v : cyc) v = rank[static_cast<std::size_t>(v)];
+    std::rotate(cyc.begin(), std::min_element(cyc.begin(), cyc.end()),
+                cyc.end());
+  }
+  std::sort(cycles.cycles.begin(), cycles.cycles.end(),
+            [](const std::vector<int>& a, const std::vector<int>& b) {
+              if (a.size() != b.size()) return a.size() < b.size();
+              return a < b;
+            });
 
   // Dependency edges each configured flow induces along its traced path.
   std::vector<std::vector<std::pair<DirectedLink, DirectedLink>>> flow_edges;
@@ -86,13 +115,19 @@ void fill_cycle_infos(const Input& in, detail::LinkCycles cycles,
     flow_edges.push_back(std::move(edges));
   }
 
-  for (auto& cyc : cycles.cycles) {
-    CycleInfo info;
-    info.links = std::move(cyc);
-    for (const auto& [from, to] : info.links)
-      info.link_names.push_back(in.topo->node(from).name + "->" +
-                                in.topo->node(to).name);
+  rep->cycles.resize(cycles.cycles.size());
+  for (std::size_t c = 0; c < cycles.cycles.size(); ++c) {
+    const std::vector<int>& ranks = cycles.cycles[c];
+    CycleInfo& info = rep->cycles[c];
+    info.links.reserve(ranks.size());
+    info.link_names.reserve(ranks.size());
+    for (const int r : ranks) {
+      info.links.push_back(
+          links[static_cast<std::size_t>(by_rank[static_cast<std::size_t>(r)])]);
+      info.link_names.push_back(names[static_cast<std::size_t>(r)]);
+    }
 
+    if (flow_edges.empty()) continue;  // nothing to cover or activate
     const std::size_t n = info.links.size();
     std::vector<char> edge_covered(n, 0);
     for (std::size_t fi = 0; fi < flow_edges.size(); ++fi) {
@@ -108,20 +143,9 @@ void fill_cycle_infos(const Input& in, detail::LinkCycles cycles,
       }
       if (touches) info.flows.push_back(static_cast<int>(fi));
     }
-    info.activated =
-        n > 0 && !in.flows.empty() &&
-        std::all_of(edge_covered.begin(), edge_covered.end(),
-                    [](char c) { return c != 0; });
-    rep->cycles.push_back(std::move(info));
+    info.activated = std::all_of(edge_covered.begin(), edge_covered.end(),
+                                 [](char c) { return c != 0; });
   }
-  // Canonical list order: by length, then by the link sequence itself.
-  // Link form is numbering-independent, so this order is too.
-  std::sort(rep->cycles.begin(), rep->cycles.end(),
-            [](const CycleInfo& a, const CycleInfo& b) {
-              if (a.links.size() != b.links.size())
-                return a.links.size() < b.links.size();
-              return a.links < b.links;
-            });
 }
 
 void check_bounds(const Input& in, Report* rep) {
@@ -174,8 +198,8 @@ void check_bounds(const Input& in, Report* rep) {
 void lint_routing(const Input& in, Report* rep) {
   const topo::Topology& topo = *in.topo;
   const topo::RoutingTable& routing = *in.routing;
-  const auto hosts = topo.hosts();
-  const auto switches = topo.switches();
+  const auto& hosts = topo.hosts();
+  const auto& switches = topo.switches();
 
   // Unroutable host pairs (capped listing; the count is always exact).
   std::size_t unroutable = 0;
@@ -208,17 +232,25 @@ void lint_routing(const Input& in, Report* rep) {
   }
   const bool layered = max_layer > min_layer;
 
+  // Per-node scratch tables, reset for each destination.
+  const std::size_t nodes = topo.node_count();
+  const auto at = [](topo::NodeIndex v) { return static_cast<std::size_t>(v); };
+  std::vector<char> color(nodes);  // 0 white, 1 grey, 2 black
+  std::vector<topo::NodeIndex> parent(nodes);
+  std::vector<char> seen(2 * nodes);  // (switch, descended) BFS states
+  std::vector<std::pair<topo::NodeIndex, std::size_t>> stack;
+  std::vector<std::pair<topo::NodeIndex, bool>> frontier;
+
   for (const topo::NodeIndex dst : hosts) {
     // Loop detection: tri-color DFS over switch next-hops toward dst,
     // reporting the first cycle found (deterministic: switches ascending,
     // next hops in table order).
-    std::map<topo::NodeIndex, int> color;  // 0/absent white, 1 grey, 2 black
-    std::map<topo::NodeIndex, topo::NodeIndex> parent;
+    std::fill(color.begin(), color.end(), 0);
     bool loop_reported = false;
     for (const topo::NodeIndex root : switches) {
-      if (loop_reported || color[root] != 0) continue;
-      std::vector<std::pair<topo::NodeIndex, std::size_t>> stack{{root, 0}};
-      color[root] = 1;
+      if (loop_reported || color[at(root)] != 0) continue;
+      stack.assign(1, {root, 0});
+      color[at(root)] = 1;
       while (!stack.empty() && !loop_reported) {
         auto& [v, next] = stack.back();
         const auto& hops = routing.next_hops(v, dst);
@@ -227,15 +259,15 @@ void lint_routing(const Input& in, Report* rep) {
         while (i < hops.size() && topo.is_host(hops[i])) i = next++;
         if (i < hops.size()) {
           const topo::NodeIndex w = hops[i];
-          if (color[w] == 0) {
-            color[w] = 1;
-            parent[w] = v;
+          if (color[at(w)] == 0) {
+            color[at(w)] = 1;
+            parent[at(w)] = v;
             stack.push_back({w, 0});
-          } else if (color[w] == 1) {
+          } else if (color[at(w)] == 1) {
             std::string cyc = topo.node(w).name;
             std::vector<topo::NodeIndex> chain{v};
-            for (topo::NodeIndex u = v; u != w; u = parent[u])
-              chain.push_back(parent[u]);
+            for (topo::NodeIndex u = v; u != w; u = parent[at(u)])
+              chain.push_back(parent[at(u)]);
             for (auto it = chain.rbegin(); it != chain.rend(); ++it)
               cyc += " -> " + topo.node(*it).name;
             cyc += " -> " + topo.node(w).name;
@@ -245,7 +277,7 @@ void lint_routing(const Input& in, Report* rep) {
             loop_reported = true;
           }
         } else {
-          color[v] = 2;
+          color[at(v)] = 2;
           stack.pop_back();
         }
       }
@@ -256,12 +288,17 @@ void lint_routing(const Input& in, Report* rep) {
     // BFS over (switch, descended) states tolerates broken (cyclic)
     // tables; the first violation per destination is reported.
     if (!layered) continue;
-    std::map<std::pair<topo::NodeIndex, bool>, char> seen;
-    std::vector<std::pair<topo::NodeIndex, bool>> frontier;
+    std::fill(seen.begin(), seen.end(), 0);
+    frontier.clear();
+    const auto visit = [&](topo::NodeIndex n, bool down) {
+      char& state = seen[2 * at(n) + (down ? 1 : 0)];
+      if (state == 0) frontier.push_back({n, down});
+      state = 1;
+    };
     for (const topo::NodeIndex s : hosts) {
       if (s == dst) continue;
       for (const topo::NodeIndex n : routing.next_hops(s, dst))
-        if (!topo.is_host(n) && !seen[{n, false}]++) frontier.push_back({n, false});
+        if (!topo.is_host(n)) visit(n, false);
     }
     bool valley_reported = false;
     for (std::size_t qi = 0; qi < frontier.size() && !valley_reported; ++qi) {
@@ -277,8 +314,7 @@ void lint_routing(const Input& in, Report* rep) {
           valley_reported = true;
           break;
         }
-        const bool next_descended = descended || lw < lv;
-        if (!seen[{w, next_descended}]++) frontier.push_back({w, next_descended});
+        visit(w, descended || lw < lv);
       }
     }
   }
@@ -288,22 +324,9 @@ void lint_routing(const Input& in, Report* rep) {
 
 namespace detail {
 
-LinkCycles to_link_cycles(const std::vector<DirectedLink>& links,
-                          const CycleEnumeration& enumeration) {
-  LinkCycles out;
-  out.truncated = enumeration.truncated;
-  for (const auto& cyc : enumeration.cycles) {
-    std::vector<DirectedLink> cycle;
-    for (const int v : cyc) cycle.push_back(links[static_cast<std::size_t>(v)]);
-    topo::canonicalize_cycle(&cycle);
-    out.cycles.push_back(std::move(cycle));
-  }
-  return out;
-}
-
-Report finish_report(const Input& in, const std::vector<DirectedLink>& links,
-                     const std::vector<std::vector<int>>& adj,
-                     LinkCycles cycles) {
+Report finish_report(const Input& in, const topo::BufferDependencyGraph& graph,
+                     const std::vector<std::vector<int>>& sccs,
+                     CycleEnumeration cycles) {
   Report rep;
   rep.scenario = in.scenario;
   rep.mechanism_kind = in.cfg.fc.kind;
@@ -319,19 +342,12 @@ Report finish_report(const Input& in, const std::vector<DirectedLink>& links,
   rep.tau_processing = in.cfg.control_delay;
   rep.tau_total = in.cfg.tau();
 
-  rep.bdg_vertices = links.size();
+  const Adjacency& adj = graph.adjacency();
+  rep.bdg_vertices = graph.vertex_count();
   for (const auto& out : adj) rep.bdg_edges += out.size();
-  const auto sccs = strongly_connected_components(adj);
   rep.sccs = sccs.size();
-  for (const auto& comp : sccs) {
-    const bool cyclic =
-        comp.size() > 1 ||
-        [&] {
-          const auto& o = adj[static_cast<std::size_t>(comp.front())];
-          return std::find(o.begin(), o.end(), comp.front()) != o.end();
-        }();
-    if (cyclic) ++rep.cyclic_sccs;
-  }
+  for (const auto& comp : sccs)
+    if (cyclic_component(adj, comp)) ++rep.cyclic_sccs;
 
   if (cycles.truncated) {
     const std::string label =
@@ -341,7 +357,7 @@ Report finish_report(const Input& in, const std::vector<DirectedLink>& links,
                  "verdict degraded to at_risk\n",
                  label.c_str(), in.max_cycles);
   }
-  fill_cycle_infos(in, std::move(cycles), &rep);
+  fill_cycle_infos(in, graph, std::move(cycles), &rep);
   check_bounds(in, &rep);
   lint_routing(in, &rep);
   return rep;
@@ -352,11 +368,9 @@ Report finish_report(const Input& in, const std::vector<DirectedLink>& links,
 Report analyze(const Input& in) {
   topo::BufferDependencyGraph graph(*in.topo);
   graph.add_routing_closure(*in.routing);
-  const CycleEnumeration enumeration =
-      elementary_cycles(graph.adjacency(), in.max_cycles);
-  return detail::finish_report(
-      in, graph.links(), graph.adjacency(),
-      detail::to_link_cycles(graph.links(), enumeration));
+  const Adjacency& adj = graph.adjacency();
+  return detail::finish_report(in, graph, strongly_connected_components(adj),
+                               elementary_cycles(adj, in.max_cycles));
 }
 
 bool report_contains_cycle(const Report& rep,

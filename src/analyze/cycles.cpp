@@ -143,6 +143,12 @@ std::vector<std::vector<int>> strongly_connected_components(
   return t.components;
 }
 
+bool cyclic_component(const Adjacency& adj, const std::vector<int>& comp) {
+  if (comp.size() > 1) return true;
+  const auto& out = adj[static_cast<std::size_t>(comp.front())];
+  return std::find(out.begin(), out.end(), comp.front()) != out.end();
+}
+
 CycleEnumeration elementary_cycles(const Adjacency& adj,
                                    std::size_t max_cycles) {
   CycleEnumeration out;
@@ -161,14 +167,7 @@ CycleEnumeration elementary_cycles(const Adjacency& adj,
     int root = -1;
     const std::vector<int>* root_comp = nullptr;
     for (const auto& comp : comps) {
-      if (comp.front() < s) continue;
-      const bool cyclic =
-          comp.size() > 1 ||
-          [&] {
-            const auto& o = sub[static_cast<std::size_t>(comp.front())];
-            return std::find(o.begin(), o.end(), comp.front()) != o.end();
-          }();
-      if (!cyclic) continue;
+      if (comp.front() < s || !cyclic_component(sub, comp)) continue;
       if (root < 0 || comp.front() < root) {
         root = comp.front();
         root_comp = &comp;
@@ -196,13 +195,6 @@ CycleEnumeration elementary_cycles(const Adjacency& adj,
     out.truncated = js.truncated;
     s = root + 1;
   }
-  // Each cycle already leads with its smallest vertex (the Johnson root);
-  // a final sort makes the list order canonical as well.
-  std::sort(out.cycles.begin(), out.cycles.end(),
-            [](const std::vector<int>& a, const std::vector<int>& b) {
-              if (a.size() != b.size()) return a.size() < b.size();
-              return a < b;
-            });
   return out;
 }
 

@@ -4,13 +4,14 @@
 // analyze() builds the buffer-dependency graph from scratch and runs
 // Johnson's enumeration; IncrementalAnalyzer replays cached per-
 // destination closure ops and reuses per-SCC cycle sets. Both then hand
-// the assembled graph and the canonical link-form cycle list to
-// finish_report(), which fills *everything else* in the Report (header,
-// tau, graph/SCC stats, per-cycle flow coverage, bound checks, routing
-// lints). Because the two paths share this single exit, their reports —
-// and the JSON bytes derived from them — are identical by construction;
-// the randomized flap differential test in tests/incremental_test.cpp
-// holds the construction halves to the same standard.
+// the assembled graph, its SCCs and its cycles to finish_report(), which
+// fills *everything else* in the Report (header, tau, graph/SCC stats,
+// canonical cycle list with per-cycle flow coverage, bound checks,
+// routing lints). Because the two paths share this single exit, their
+// reports — and the JSON bytes derived from them — are identical by
+// construction; the randomized flap differential test in
+// tests/incremental_test.cpp holds the construction halves to the same
+// standard.
 #pragma once
 
 #include <vector>
@@ -20,26 +21,15 @@
 
 namespace gfc::analyze::detail {
 
-/// A cycle enumeration lifted out of vertex-number space: each cycle as
-/// its canonical link sequence (topo::canonicalize_cycle form). Link form
-/// is independent of vertex numbering, so enumerations assembled by
-/// different construction orders compare (and sort) identically.
-struct LinkCycles {
-  std::vector<std::vector<topo::DirectedLink>> cycles;
-  bool truncated = false;
-};
-
-/// Convert an integer-vertex enumeration to canonical link form.
-LinkCycles to_link_cycles(const std::vector<topo::DirectedLink>& links,
-                          const CycleEnumeration& enumeration);
-
-/// Fill a complete Report from an assembled buffer-dependency graph
-/// (vertex links + adjacency) and its cycle enumeration. Emits the
-/// truncation warning on stderr when cycles.truncated (the verdict then
-/// degrades to kAtRisk; see Report::verdict).
-Report finish_report(const Input& in,
-                     const std::vector<topo::DirectedLink>& links,
-                     const std::vector<std::vector<int>>& adj,
-                     LinkCycles cycles);
+/// Fill a complete Report from an assembled buffer-dependency graph, its
+/// SCC decomposition and its cycle enumeration. `cycles` holds vertex ids
+/// of `graph`, in any order and any rotation: the report lists each cycle
+/// once, in canonical form and order (see CycleInfo), which depends only
+/// on the cycles' links, never on vertex numbering. Emits the truncation
+/// warning on stderr when cycles.truncated (the verdict then degrades to
+/// kAtRisk; see Report::verdict).
+Report finish_report(const Input& in, const topo::BufferDependencyGraph& graph,
+                     const std::vector<std::vector<int>>& sccs,
+                     CycleEnumeration cycles);
 
 }  // namespace gfc::analyze::detail

@@ -1,6 +1,7 @@
 #include "analyze/incremental.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "analyze/cycles.hpp"
 #include "analyze/detail.hpp"
@@ -19,6 +20,7 @@ const Report& IncrementalAnalyzer::update(const topo::RoutingTable& routing) {
   ++stats_.updates;
   const topo::Topology& topo = *in_.topo;
   const auto& hosts = topo.hosts();
+  const std::size_t nodes = topo.node_count();
   dst_cache_.resize(hosts.size());
 
   // Rebuild the graph as the from-scratch closure would: per destination
@@ -30,50 +32,54 @@ const Report& IncrementalAnalyzer::update(const topo::RoutingTable& routing) {
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     const topo::NodeIndex dst = hosts[i];
     DstCache& cache = dst_cache_[i];
-    std::vector<std::vector<topo::NodeIndex>> column;
-    column.reserve(topo.node_count());
-    for (std::size_t x = 0; x < topo.node_count(); ++x)
-      column.push_back(routing.next_hops(static_cast<topo::NodeIndex>(x), dst));
-    if (column == cache.column) {
+    bool same = cache.column.size() == nodes;
+    for (std::size_t x = 0; same && x < nodes; ++x)
+      same = cache.column[x] ==
+             routing.next_hops(static_cast<topo::NodeIndex>(x), dst);
+    if (same) {
       ++stats_.dst_reused;
     } else {
       ++stats_.dst_recomputed;
       cache.ops = topo::destination_closure_ops(topo, routing, dst);
-      cache.column = std::move(column);
+      cache.column.resize(nodes);
+      for (std::size_t x = 0; x < nodes; ++x)
+        cache.column[x] = routing.next_hops(static_cast<topo::NodeIndex>(x), dst);
     }
     graph.apply_ops(cache.ops);
   }
 
   const auto& links = graph.links();
-  const auto& adj = graph.adjacency();
+  const Adjacency& adj = graph.adjacency();
+  const auto at = [](int v) { return static_cast<std::size_t>(v); };
 
   // Cycle enumeration per cyclic SCC, served from the shape cache when the
-  // SCC's canonical link-form shape was seen before. Elementary cycles
-  // never cross SCC boundaries, so the union over cyclic SCCs is the
-  // whole-graph enumeration's cycle set.
+  // SCC's canonical shape was seen before. Elementary cycles never cross
+  // SCC boundaries, so the union over cyclic SCCs is the whole-graph
+  // enumeration's cycle set.
   const auto sccs = strongly_connected_components(adj);
-  detail::LinkCycles assembled;
-  bool scc_truncated = false;
-  for (const auto& comp : sccs) {
-    const bool cyclic =
-        comp.size() > 1 ||
-        [&] {
-          const auto& o = adj[static_cast<std::size_t>(comp.front())];
-          return std::find(o.begin(), o.end(), comp.front()) != o.end();
-        }();
-    if (!cyclic) continue;
-
+  std::vector<std::size_t> scc_of(adj.size());
+  std::vector<std::size_t> cyclic;
+  for (std::size_t c = 0; c < sccs.size(); ++c) {
+    for (const int v : sccs[c]) scc_of[at(v)] = c;
+    if (cyclic_component(adj, sccs[c])) cyclic.push_back(c);
+  }
+  // A cyclic vertex's position in its SCC's link order.
+  std::vector<int> pos(adj.size(), -1);
+  CycleEnumeration cycles;
+  bool capped = false;
+  for (const std::size_t c : cyclic) {
+    std::vector<int> order = sccs[c];
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return links[at(a)] < links[at(b)];
+    });
     SccShape shape;
-    for (const int v : comp)
-      shape.members.push_back(links[static_cast<std::size_t>(v)]);
-    std::sort(shape.members.begin(), shape.members.end());
-    std::vector<char> in_comp(adj.size(), 0);
-    for (const int v : comp) in_comp[static_cast<std::size_t>(v)] = 1;
-    for (const int v : comp)
-      for (const int w : adj[static_cast<std::size_t>(v)])
-        if (in_comp[static_cast<std::size_t>(w)])
-          shape.edges.push_back({links[static_cast<std::size_t>(v)],
-                                 links[static_cast<std::size_t>(w)]});
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      pos[at(order[i])] = static_cast<int>(i);
+      shape.members.push_back(links[at(order[i])]);
+    }
+    for (const int v : order)
+      for (const int w : adj[at(v)])
+        if (scc_of[at(w)] == c) shape.edges.push_back({pos[at(v)], pos[at(w)]});
     std::sort(shape.edges.begin(), shape.edges.end());
 
     const auto hit =
@@ -81,49 +87,60 @@ const Report& IncrementalAnalyzer::update(const topo::RoutingTable& routing) {
                      [&](const SccCacheEntry& e) { return e.shape == shape; });
     if (hit != scc_cache_.end()) {
       ++stats_.scc_reused;
-      assembled.cycles.insert(assembled.cycles.end(), hit->cycles.begin(),
-                              hit->cycles.end());
+      for (const std::vector<int>& cached : hit->cycles) {
+        std::vector<int>& cyc = cycles.cycles.emplace_back();
+        cyc.reserve(cached.size());
+        for (const int p : cached) cyc.push_back(order[at(p)]);
+      }
       continue;
     }
 
     ++stats_.scc_enumerations;
     Adjacency sub(adj.size());
-    for (const int v : comp)
-      for (const int w : adj[static_cast<std::size_t>(v)])
-        if (in_comp[static_cast<std::size_t>(w)])
-          sub[static_cast<std::size_t>(v)].push_back(w);
-    const CycleEnumeration e = elementary_cycles(sub, in_.max_cycles);
+    for (const int v : sccs[c])
+      for (const int w : adj[at(v)])
+        if (scc_of[at(w)] == c) sub[at(v)].push_back(w);
+    CycleEnumeration e = elementary_cycles(sub, in_.max_cycles);
     if (e.truncated) {
-      // An incomplete per-SCC set can't be cached or unioned; the exact
-      // fallback below reproduces the from-scratch result.
-      scc_truncated = true;
+      // An incomplete per-SCC set can't be cached or unioned. As the
+      // graph's only cyclic SCC, though, its run is exactly the capped
+      // whole-graph run: same roots, same edge order, same cap.
+      capped = true;
+      if (cyclic.size() == 1) cycles = std::move(e);
       break;
     }
-    detail::LinkCycles lc = detail::to_link_cycles(links, e);
-    assembled.cycles.insert(assembled.cycles.end(), lc.cycles.begin(),
-                            lc.cycles.end());
+    SccCacheEntry entry{std::move(shape), {}};
+    entry.cycles.reserve(e.cycles.size());
+    for (const std::vector<int>& cyc : e.cycles) {
+      std::vector<int>& positions = entry.cycles.emplace_back();
+      positions.reserve(cyc.size());
+      for (const int v : cyc) positions.push_back(pos[at(v)]);
+    }
+    cycles.cycles.insert(cycles.cycles.end(),
+                         std::make_move_iterator(e.cycles.begin()),
+                         std::make_move_iterator(e.cycles.end()));
     if (scc_cache_.size() >= kSccCacheCap)
       scc_cache_.erase(scc_cache_.begin());
-    scc_cache_.push_back({std::move(shape), std::move(lc.cycles)});
+    scc_cache_.push_back(std::move(entry));
   }
 
   // Equivalence guard: the whole-graph enumeration caps the *total* at
   // max_cycles (and only reports truncated when a further cycle was
-  // actually attempted past the cap). Per-SCC union can't tell which
-  // cycles a capped run would have kept, so any truncation — or a union
-  // larger than the cap — falls back to one exact enumeration on the
-  // identical adjacency. Union <= cap implies the from-scratch run never
-  // hit the cap either, so the assembled set is exactly its cycle set.
+  // actually attempted past the cap). With two or more cyclic SCCs, their
+  // runs can't tell which cycles the capped whole-graph run keeps, so a
+  // truncation — or a union larger than the cap — re-runs Johnson once on
+  // the identical adjacency. Union <= cap implies the from-scratch run
+  // never hit the cap either, so the union is exactly its cycle set.
+  if (capped || cycles.cycles.size() > in_.max_cycles) {
+    ++stats_.full_fallbacks;
+    if (!cycles.truncated) {
+      ++stats_.whole_graph_reruns;
+      cycles = elementary_cycles(adj, in_.max_cycles);
+    }
+  }
   Input in = in_;
   in.routing = &routing;
-  if (scc_truncated || assembled.cycles.size() > in_.max_cycles) {
-    ++stats_.full_fallbacks;
-    report_ = detail::finish_report(
-        in, links, adj,
-        detail::to_link_cycles(links, elementary_cycles(adj, in_.max_cycles)));
-  } else {
-    report_ = detail::finish_report(in, links, adj, std::move(assembled));
-  }
+  report_ = detail::finish_report(in, graph, sccs, std::move(cycles));
   return report_;
 }
 

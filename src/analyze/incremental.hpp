@@ -17,18 +17,20 @@
 //     byte-identity); unchanged columns replay their cached ops.
 //  2. Per-SCC cycle caching. Elementary cycles never cross SCC
 //     boundaries, so each cyclic SCC is enumerated alone and the result
-//     cached under the SCC's canonical link-form shape (sorted member
-//     links + sorted edges). A recurring shape — the common case when a
-//     flap rewires one corner of a fat tree — reuses its cycle set.
+//     cached under the SCC's canonical shape (member links sorted, edges
+//     as positions in that order). A recurring shape — the common case
+//     when a flap rewires one corner of a fat tree — reuses its cycle set.
 //
 // Every update() ends in the same detail::finish_report() seam analyze()
 // uses, so the produced Report (and its JSON) is byte-identical to a
 // from-scratch analyze() on the current topology + routing — the
 // invariant the randomized flap differential test
-// (tests/incremental_test.cpp) enforces. Whenever any per-SCC
-// enumeration truncates, or the union exceeds max_cycles, the analyzer
-// falls back to one exact whole-graph enumeration on the identical
-// adjacency, which preserves the equivalence by construction.
+// (tests/incremental_test.cpp) enforces. When a per-SCC enumeration
+// truncates, or the union exceeds max_cycles, the report must hold the
+// capped whole-graph enumeration instead. If the graph has exactly one
+// cyclic SCC, that SCC's own run already is it (see elementary_cycles);
+// otherwise the analyzer re-runs Johnson once on the identical
+// adjacency. Either way the equivalence holds by construction.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +49,8 @@ class IncrementalAnalyzer {
     std::size_t dst_reused = 0;        // cached ops replayed
     std::size_t scc_enumerations = 0;  // Johnson runs on one SCC
     std::size_t scc_reused = 0;        // cycle set served from cache
-    std::size_t full_fallbacks = 0;    // exact whole-graph re-enumeration
+    std::size_t full_fallbacks = 0;    // report is the capped whole-graph set
+    std::size_t whole_graph_reruns = 0;  // ... that needed a second Johnson run
   };
 
   /// `in.topo` must outlive the analyzer; its *current* link state is
@@ -73,20 +76,19 @@ class IncrementalAnalyzer {
     std::vector<topo::ClosureOp> ops;
   };
 
-  /// Canonical, vertex-numbering-independent shape of one cyclic SCC.
+  /// Canonical, vertex-numbering-independent shape of one cyclic SCC:
+  /// its member links ascending, its internal edges as (from, to)
+  /// positions in that order.
   struct SccShape {
     std::vector<topo::DirectedLink> members;  // sorted
-    std::vector<std::pair<topo::DirectedLink, topo::DirectedLink>>
-        edges;  // sorted
-    bool operator==(const SccShape& o) const {
-      return members == o.members && edges == o.edges;
-    }
+    std::vector<std::pair<int, int>> edges;   // sorted
+    bool operator==(const SccShape&) const = default;
   };
   struct SccCacheEntry {
     SccShape shape;
-    /// Canonical link-form cycles, from a complete (never truncated)
-    /// enumeration of this SCC.
-    std::vector<std::vector<topo::DirectedLink>> cycles;
+    /// Every cycle as positions in shape.members, from a complete (never
+    /// truncated) enumeration of this SCC.
+    std::vector<std::vector<int>> cycles;
   };
 
   Input in_;

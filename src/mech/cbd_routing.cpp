@@ -52,8 +52,8 @@ topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
   const std::size_t n = topo.node_count();
   topo::RoutingTable table(n);
   const std::vector<int> rank = switch_ranks(topo);
-  const std::vector<NodeIndex> switches = topo.switches();
-  const std::vector<NodeIndex> hosts = topo.hosts();
+  const std::vector<NodeIndex>& switches = topo.switches();
+  const std::vector<NodeIndex>& hosts = topo.hosts();
 
   // Switches in descending rank (leaves first): the processing order that
   // makes the all-down distance computable in one pass, since every down

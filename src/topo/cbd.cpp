@@ -4,13 +4,27 @@
 
 namespace gfc::topo {
 
+BufferDependencyGraph::BufferDependencyGraph(const Topology& topo)
+    : topo_(&topo), switch_pos_(topo.node_count(), -1) {
+  const auto& switches = topo.switches();
+  for (std::size_t i = 0; i < switches.size(); ++i)
+    switch_pos_[static_cast<std::size_t>(switches[i])] =
+        static_cast<std::int32_t>(i);
+  vertex_ids_.assign(switches.size() * switches.size(), -1);
+}
+
 int BufferDependencyGraph::vertex(DirectedLink l) {
-  auto [it, inserted] = vertex_ids_.try_emplace(l, static_cast<int>(vertices_.size()));
-  if (inserted) {
+  const std::size_t slot =
+      static_cast<std::size_t>(switch_pos_[static_cast<std::size_t>(l.first)]) *
+          topo_->switches().size() +
+      static_cast<std::size_t>(switch_pos_[static_cast<std::size_t>(l.second)]);
+  std::int32_t& id = vertex_ids_[slot];
+  if (id < 0) {
+    id = static_cast<std::int32_t>(vertices_.size());
     vertices_.push_back(l);
     edges_.emplace_back();
   }
-  return it->second;
+  return id;
 }
 
 void BufferDependencyGraph::add_path(const std::vector<NodeIndex>& path) {

@@ -6,7 +6,7 @@
 // at (s1->s2) depend on the buffer at (s2->s3). A directed cycle is a CBD.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +41,7 @@ struct ClosureOp {
 
 class BufferDependencyGraph {
  public:
-  explicit BufferDependencyGraph(const Topology& topo) : topo_(&topo) {}
+  explicit BufferDependencyGraph(const Topology& topo);
 
   /// Add the dependencies induced by one concrete flow path (node ids).
   void add_path(const std::vector<NodeIndex>& path);
@@ -76,7 +76,11 @@ class BufferDependencyGraph {
   int vertex(DirectedLink l);
 
   const Topology* topo_;
-  std::map<DirectedLink, int> vertex_ids_;
+  /// Each node's position in topo_->switches() (-1 for hosts).
+  std::vector<std::int32_t> switch_pos_;
+  /// Vertex id of the link (from, to) at switch_pos_[from] * switches +
+  /// switch_pos_[to]; -1 until the link is first inserted.
+  std::vector<std::int32_t> vertex_ids_;
   std::vector<DirectedLink> vertices_;
   std::vector<std::vector<int>> edges_;
 };

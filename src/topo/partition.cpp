@@ -12,7 +12,7 @@ std::vector<int> partition(const Topology& topo, int n_shards,
   std::vector<int> shard(n, 0);
   if (n_shards <= 1 || n == 0) return shard;
 
-  const std::vector<NodeIndex> switches = topo.switches();
+  const std::vector<NodeIndex>& switches = topo.switches();
   if (switches.empty()) return shard;
   const int k = std::min<int>(n_shards, static_cast<int>(switches.size()));
 

@@ -113,7 +113,7 @@ CbdStress build_cbd_stress(const Topology& topo, const RoutingTable& routing,
                            sim::Rng& rng, int per_link,
                            int max_tries_per_link) {
   CbdStress out;
-  std::vector<NodeIndex> hosts = topo.hosts();
+  const std::vector<NodeIndex>& hosts = topo.hosts();
   std::vector<int> coverage(cycle.size(), 0);
   // One sampled flow realizes the dependency (a,b) -> (b,c2) iff its
   // concrete path contains the node triple a,b,c2; full triple coverage

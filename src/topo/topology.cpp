@@ -8,13 +8,15 @@ namespace gfc::topo {
 NodeIndex Topology::add_host(std::string name, int pod) {
   nodes_.push_back(TopoNode{std::move(name), true, 0, pod});
   adj_dirty_ = true;
-  return static_cast<NodeIndex>(nodes_.size() - 1);
+  hosts_.push_back(static_cast<NodeIndex>(nodes_.size() - 1));
+  return hosts_.back();
 }
 
 NodeIndex Topology::add_switch(std::string name, int layer, int pod) {
   nodes_.push_back(TopoNode{std::move(name), false, layer, pod});
   adj_dirty_ = true;
-  return static_cast<NodeIndex>(nodes_.size() - 1);
+  switches_.push_back(static_cast<NodeIndex>(nodes_.size() - 1));
+  return switches_.back();
 }
 
 LinkIndex Topology::add_link(NodeIndex a, NodeIndex b) {
@@ -27,20 +29,6 @@ LinkIndex Topology::add_link(NodeIndex a, NodeIndex b) {
 void Topology::restore_all() {
   for (auto& l : links_) l.up = true;
   adj_dirty_ = true;
-}
-
-std::vector<NodeIndex> Topology::hosts() const {
-  std::vector<NodeIndex> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (nodes_[i].is_host) out.push_back(static_cast<NodeIndex>(i));
-  return out;
-}
-
-std::vector<NodeIndex> Topology::switches() const {
-  std::vector<NodeIndex> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (!nodes_[i].is_host) out.push_back(static_cast<NodeIndex>(i));
-  return out;
 }
 
 std::vector<LinkIndex> Topology::switch_links() const {
@@ -77,7 +65,7 @@ NodeIndex Topology::rack_of(NodeIndex host) const {
 }
 
 bool Topology::hosts_connected() const {
-  const auto hs = hosts();
+  const auto& hs = hosts_;
   if (hs.empty()) return true;
   std::vector<bool> seen(nodes_.size(), false);
   std::deque<NodeIndex> bfs{hs[0]};

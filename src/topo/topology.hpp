@@ -50,8 +50,9 @@ class Topology {
   const TopoLink& link(LinkIndex l) const { return links_[static_cast<std::size_t>(l)]; }
 
   bool is_host(NodeIndex i) const { return node(i).is_host; }
-  std::vector<NodeIndex> hosts() const;
-  std::vector<NodeIndex> switches() const;
+  /// Host and switch node indices, ascending.
+  const std::vector<NodeIndex>& hosts() const { return hosts_; }
+  const std::vector<NodeIndex>& switches() const { return switches_; }
   /// Links whose both endpoints are switches (failure candidates).
   std::vector<LinkIndex> switch_links() const;
 
@@ -68,6 +69,8 @@ class Topology {
   void rebuild_adjacency() const;
 
   std::vector<TopoNode> nodes_;
+  std::vector<NodeIndex> hosts_;
+  std::vector<NodeIndex> switches_;
   std::vector<TopoLink> links_;
   mutable std::vector<std::vector<std::pair<NodeIndex, LinkIndex>>> adj_;
   mutable bool adj_dirty_ = true;
