@@ -61,9 +61,6 @@ void export_trial_trace(const exp::CliOptions& cli, const std::string& name,
 
 // Every trial's fabric honors the binary-wide --analyze mode.
 analyze::PreflightMode g_preflight = analyze::PreflightMode::kOff;
-// --shards count for every trial fabric; trials with fault injection
-// enabled fall back to the sequential engine (fabric warns once per trial).
-int g_shards = 1;
 // --cbd-free-routing: every scenario swaps its routing for the up*/down*
 // CBD-free tables. Composed with --analyze=fail this makes the campaign
 // assert the restriction removed the cycles on every topology it visits.
@@ -72,7 +69,6 @@ bool g_cbd_free = false;
 ScenarioConfig config_for(const MechSpec& m, std::uint64_t base) {
   ScenarioConfig cfg;
   cfg.preflight = g_preflight;
-  cfg.shards = g_shards;
   cfg.seed = 1 + base;
   // setup_for = FcSetup::derive + the spec's heal / break / routing knobs;
   // every registered mechanism is derivable at the default 300 KB buffer.
@@ -281,7 +277,6 @@ exp::TrialResult run_flap_trial(const MechSpec& m, std::uint64_t base,
 int main(int argc, char** argv) {
   const exp::CliOptions cli = exp::parse_cli(argc, argv);
   g_preflight = cli.preflight;
-  g_shards = cli.sim_shards;
   g_cbd_free = cli.cbd_free_routing;
   bench::header("Fault sweep: flow control under control-frame loss, "
                 "deadlock recovery, link flaps",

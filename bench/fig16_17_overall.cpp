@@ -75,8 +75,6 @@ std::vector<ProneCase> scan_prone_cases(int k, std::uint64_t max_seed) {
 // Every trial's fabric honors the binary-wide --analyze mode (a kFail
 // verdict surfaces as a failed trial through the worker pool).
 analyze::PreflightMode g_preflight = analyze::PreflightMode::kOff;
-// Every trial's fabric honors the binary-wide --shards count (src/par).
-int g_shards = 1;
 // --cbd-free-routing: every scenario swaps shortest paths for the
 // up*/down* tables (with --analyze=fail, pre-flight then proves the
 // restriction removed the cycles on part (b)'s prone topologies too).
@@ -85,7 +83,6 @@ bool g_cbd_free = false;
 ScenarioConfig config_for(FcKind kind) {
   ScenarioConfig cfg;
   cfg.preflight = g_preflight;
-  cfg.shards = g_shards;
   cfg.switch_buffer = 300'000;
   cfg.fc = FcSetup::derive(kind, cfg.switch_buffer, cfg.link.rate, cfg.tau());
   cfg.fc.cbd_free_routing = g_cbd_free;
@@ -97,7 +94,6 @@ ScenarioConfig config_for(FcKind kind) {
 int main(int argc, char** argv) {
   const exp::CliOptions cli = exp::parse_cli(argc, argv);
   g_preflight = cli.preflight;
-  g_shards = cli.sim_shards;
   g_cbd_free = cli.cbd_free_routing;
   bench::header("Figures 16/17: average available bandwidth and slowdown",
                 "Fig. 16(a)/(b), Fig. 17(a)/(b), Sec 6.2.3");

@@ -29,11 +29,9 @@ struct SweepPoint {
 };
 
 exp::TrialResult run_point(const SweepPoint& pt, sim::TimePs duration,
-                           analyze::PreflightMode preflight, int shards,
-                           bool cbd_free) {
+                           analyze::PreflightMode preflight, bool cbd_free) {
   ScenarioConfig cfg;
   cfg.preflight = preflight;
-  cfg.shards = shards;
   cfg.link.rate = sim::gbps(pt.rate_gbps);
   cfg.link.prop_delay = sim::ns(pt.wire_m / 0.2);  // ~2e8 m/s on the wire
   cfg.switch_buffer = pt.buffer;
@@ -122,11 +120,10 @@ int main(int argc, char** argv) {
                        std::to_string(pt.buffer / 1000) + "KB/" +
                        std::to_string(static_cast<int>(pt.wire_m)) + "m";
     const analyze::PreflightMode preflight = cli.preflight;
-    const int shards = cli.sim_shards;
     const bool cbd_free = cli.cbd_free_routing;
     campaign.add(std::move(name), p,
-                 [pt, duration, preflight, shards, cbd_free] {
-                   return run_point(pt, duration, preflight, shards, cbd_free);
+                 [pt, duration, preflight, cbd_free] {
+                   return run_point(pt, duration, preflight, cbd_free);
                  });
   }
 

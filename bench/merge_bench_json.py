@@ -112,10 +112,7 @@ def trace_overhead_summary(benchmarks: list) -> dict | None:
     rates = {
         b["name"]: b["items_per_second"]
         for b in benchmarks
-        if b.get("name") in ("BM_RingSimulationGfc",
-                             "BM_RingSimulationGfc/pdes-shards:1",
-                             "BM_RingSimulationGfc/pdes-shards:1/real_time",
-                             "BM_TraceOff",
+        if b.get("name") in ("BM_RingSimulationGfc", "BM_TraceOff",
                              "BM_TraceOn") and b.get("items_per_second")
     }
     off, on = rates.get("BM_TraceOff"), rates.get("BM_TraceOn")
@@ -126,46 +123,10 @@ def trace_overhead_summary(benchmarks: list) -> dict | None:
         "on_items_per_second": on,
         "on_vs_off_slowdown": round(off / on, 4),
     }
-    # Pre-PR-9 runs recorded the ring baseline without the shard arg.
-    base = rates.get("BM_RingSimulationGfc/pdes-shards:1/real_time",
-                     rates.get("BM_RingSimulationGfc/pdes-shards:1",
-                               rates.get("BM_RingSimulationGfc")))
+    base = rates.get("BM_RingSimulationGfc")
     if base:
         summary["off_vs_untraced_baseline"] = round(base / off, 4)
     return summary
-
-
-def par_speedup_summary(benchmarks: list) -> dict | None:
-    """Parallel-core scaling: for each end-to-end benchmark run at several
-    pdes-shards counts, record events/sec per shard count plus the ratio
-    vs shards:1. Honest by construction — whatever the box produced is
-    what lands in the file (on a single-core runner the barrier overhead
-    makes the ratio < 1; that is the point of recording it)."""
-    groups: dict[str, dict[int, float]] = {}
-    for b in benchmarks:
-        name = b.get("name", "")
-        rate = b.get("items_per_second")
-        if "/pdes-shards:" not in name or not rate:
-            continue
-        base, _, arg = name.partition("/pdes-shards:")
-        try:
-            shards = int(arg.split("/", 1)[0])  # strip a /real_time suffix
-        except ValueError:
-            continue
-        groups.setdefault(base, {})[shards] = rate
-    out: dict[str, dict] = {}
-    for base in sorted(groups):
-        by_shards = groups[base]
-        if 1 not in by_shards or len(by_shards) < 2:
-            continue
-        entry: dict = {}
-        for n in sorted(by_shards):
-            entry[f"shards{n}_events_per_second"] = round(by_shards[n], 1)
-            if n != 1:
-                entry[f"shards{n}_speedup"] = round(
-                    by_shards[n] / by_shards[1], 4)
-        out[base] = entry
-    return out or None
 
 
 def gbench_run(label: str, commit: str, raw: dict) -> dict:
@@ -192,9 +153,6 @@ def gbench_run(label: str, commit: str, raw: dict) -> dict:
     overhead = trace_overhead_summary(run["benchmarks"])
     if overhead:
         run["trace_overhead"] = overhead
-    speedup = par_speedup_summary(run["benchmarks"])
-    if speedup:
-        run["par_speedup"] = speedup
     return run
 
 

@@ -81,6 +81,8 @@ void BM_RateLimiter(benchmark::State& state) {
   for (auto _ : state) {
     now = std::max(now, lim.next_allowed());
     lim.on_transmit(now, 1500);
+    // Without this the compiler folds the whole loop away.
+    benchmark::DoNotOptimize(now);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -136,12 +138,8 @@ void BM_CbdScreen(benchmark::State& state) {
 BENCHMARK(BM_CbdScreen)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMicrosecond);
 
 void BM_RingSimulationGfc(benchmark::State& state) {
-  // End-to-end Figure 9 ring: scheduler events executed per second of wall
-  // time (items/s), with delivered data packets as a sanity counter. The
-  // pdes-shards arg runs the same simulation on the parallel core
-  // (results are byte-identical; only the events/sec rate may change —
-  // the 3-switch ring caps the effective shard count at 3).
-  const int shards = static_cast<int>(state.range(0));
+  // End-to-end Figure 9 ring: scheduler events executed per second
+  // (items/s), with delivered data packets as a sanity counter.
   std::uint64_t events = 0;
   std::int64_t bytes = 0;
   for (auto _ : state) {
@@ -149,7 +147,6 @@ void BM_RingSimulationGfc(benchmark::State& state) {
     cfg.fc = runner::FcSetup::derive(runner::FcKind::kGfcBuffer,
                                      cfg.switch_buffer, cfg.link.rate,
                                      cfg.tau());
-    cfg.shards = shards;
     auto s = runner::make_ring(cfg);
     s.fabric->net().run_until(sim::ms(2));
     events += s.fabric->net().executed_events();
@@ -160,16 +157,7 @@ void BM_RingSimulationGfc(benchmark::State& state) {
       static_cast<double>(bytes) / 1500.0, benchmark::Counter::kIsRate);
   state.SetLabel("scheduler events executed");
 }
-// UseRealTime: with worker threads, CPU-time-based rates only count the
-// coordinator thread and flatter the parallel runs; wall-clock is the
-// honest comparison (and on this single-core recording box it shows the
-// barrier overhead as a slowdown).
-BENCHMARK(BM_RingSimulationGfc)
-    ->ArgName("pdes-shards")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime();
+BENCHMARK(BM_RingSimulationGfc);
 
 void run_trace_gate_ring(benchmark::State& state, bool trace_on) {
   // The trace-gate cost check: identical Figure 9 ring with tracing fully
@@ -208,11 +196,8 @@ BENCHMARK(BM_TraceOn);
 
 void BM_FatTreeClosedLoopGfc(benchmark::State& state) {
   // End-to-end k=8 fat-tree (128 hosts) closed-loop empirical workload:
-  // scheduler events executed per second of wall time, at each parallel-
-  // core shard count (events totalled across shards; byte-identical
-  // results, honest rates — on a single-core box the barrier overhead
-  // shows up as a slowdown, not a speedup).
-  const int shards = static_cast<int>(state.range(0));
+  // scheduler events executed per second, with completed flows as a
+  // sanity counter.
   std::uint64_t events = 0;
   std::uint64_t flows = 0;
   for (auto _ : state) {
@@ -220,7 +205,6 @@ void BM_FatTreeClosedLoopGfc(benchmark::State& state) {
     cfg.fc = runner::FcSetup::derive(runner::FcKind::kGfcBuffer,
                                      cfg.switch_buffer, cfg.link.rate,
                                      cfg.tau());
-    cfg.shards = shards;
     auto s = runner::make_fattree(cfg, 8);
     runner::RunOptions opts;
     opts.duration = sim::ms(1);
@@ -234,25 +218,15 @@ void BM_FatTreeClosedLoopGfc(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(flows));
   state.SetLabel("scheduler events executed");
 }
-BENCHMARK(BM_FatTreeClosedLoopGfc)
-    ->Unit(benchmark::kMillisecond)
-    ->ArgName("pdes-shards")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime();
+BENCHMARK(BM_FatTreeClosedLoopGfc)->Unit(benchmark::kMillisecond);
 
 void BM_FatTreeK16FullFidelity(benchmark::State& state) {
   // Full paper scale, full fidelity: k=16 fat-tree (1,024 hosts, 320
   // switches) under the closed-loop empirical workload for the Figure-18
   // timeline (10 ms of simulated time — the paper's collapse happens at
-  // 8.5 ms). This is the scale PAPER.md §2 used to cap at reduced
-  // durations on one core; the parallel core makes it a recordable
-  // single trial, and the per-shard-count events/sec land in
-  // BENCH_microbench.json's par_speedup summary. One iteration: the run
-  // is deterministic, and minutes-long repeats buy no precision worth
-  // their wall-clock.
-  const int shards = static_cast<int>(state.range(0));
+  // 8.5 ms), as one sequential trial. One iteration: the run is
+  // deterministic, and minutes-long repeats buy no precision worth their
+  // wall-clock. Campaigns of such trials scale with --jobs.
   std::uint64_t events = 0;
   std::uint64_t flows = 0;
   for (auto _ : state) {
@@ -260,7 +234,6 @@ void BM_FatTreeK16FullFidelity(benchmark::State& state) {
     cfg.fc = runner::FcSetup::derive(runner::FcKind::kGfcBuffer,
                                      cfg.switch_buffer, cfg.link.rate,
                                      cfg.tau());
-    cfg.shards = shards;
     auto s = runner::make_fattree(cfg, 16);
     runner::RunOptions opts;
     opts.duration = sim::ms(10);
@@ -274,13 +247,6 @@ void BM_FatTreeK16FullFidelity(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(flows));
   state.SetLabel("scheduler events executed");
 }
-BENCHMARK(BM_FatTreeK16FullFidelity)
-    ->Unit(benchmark::kSecond)
-    ->ArgName("pdes-shards")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Iterations(1);
+BENCHMARK(BM_FatTreeK16FullFidelity)->Unit(benchmark::kSecond)->Iterations(1);
 
 }  // namespace

@@ -146,17 +146,15 @@ int main(int argc, char** argv) {
         const sim::TimePs dur = s.dur;
         const std::uint64_t base = cli.seed;
         const analyze::PreflightMode preflight = cli.preflight;
-        const int shards = cli.sim_shards;
         const bool cbd_free = cli.cbd_free_routing;
         const bool is_dcfit = spec->kind == FcKind::kDcfit;
         campaign.add(
             "k" + std::to_string(s.k) + "/seed" + std::to_string(c.seed) +
                 "/" + spec->name,
             std::move(p),
-            [spec, k, dur, c, base, preflight, shards, cbd_free, is_dcfit] {
+            [spec, k, dur, c, base, preflight, cbd_free, is_dcfit] {
               ScenarioConfig cfg;
               cfg.preflight = preflight;
-              cfg.shards = shards;
               cfg.seed = 1 + base;
               cfg.switch_buffer = 300'000;
               cfg.fc = mech::setup_for(*spec, cfg.switch_buffer, cfg.link.rate,
@@ -207,13 +205,11 @@ int main(int argc, char** argv) {
     p.set("mechanism", "PFC/cbd-free");
     const std::uint64_t base = cli.seed;
     const analyze::PreflightMode preflight = cli.preflight;
-    const int shards = cli.sim_shards;
     const bool cbd_free = cli.cbd_free_routing;
     campaign.add("xval/k4/seed" + std::to_string(c.seed), std::move(p),
-                 [c, base, preflight, shards, cbd_free] {
+                 [c, base, preflight, cbd_free] {
                    ScenarioConfig cfg;
                    cfg.preflight = preflight;
-                   cfg.shards = shards;
                    cfg.seed = 1 + base;
                    cfg.switch_buffer = 300'000;
                    cfg.fc = FcSetup::derive(FcKind::kPfc, cfg.switch_buffer,

@@ -19,7 +19,7 @@ namespace {
                "[--cbd-free-routing] "
                "[--trace] [--trace-out DIR] [--trace-categories LIST] "
                "[--resume PATH]... [--journal PATH] [--trial-timeout SECS] "
-               "[--retries N] [--shard I/N] [--shards N] [--wedge TRIAL]\n",
+               "[--retries N] [--shard I/N] [--wedge TRIAL]\n",
                prog);
   std::exit(2);
 }
@@ -128,9 +128,6 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if ((v = flag_value(argv[0], "--retries", argc, argv, &i))) {
       opts.retries =
           static_cast<int>(parse_ll(argv[0], "--retries", v, 0, 1000));
-    } else if ((v = flag_value(argv[0], "--shards", argc, argv, &i))) {
-      opts.sim_shards =
-          static_cast<int>(parse_ll(argv[0], "--shards", v, 1, 256));
     } else if ((v = flag_value(argv[0], "--shard", argc, argv, &i))) {
       parse_shard(argv[0], v, &opts);
     } else if ((v = flag_value(argv[0], "--wedge", argc, argv, &i))) {

@@ -31,9 +31,6 @@
 //                         (same seed) before recording the timeout
 //   --shard I/N           run only shard I of N (contiguous trial-id
 //                         ranges); merge the shards' journals afterwards
-//   --shards N            parallel core: run each trial's fabric on N
-//                         scheduler shards (src/par); results are
-//                         byte-identical at any N  [default 1]
 //   --wedge TRIAL         testing hook: replace TRIAL's body with an
 //                         infinite heartbeat loop (watchdog smoke tests)
 #pragma once
@@ -59,10 +56,6 @@ struct CliOptions {
   /// Sweep-size multiplier for the scaling benches (table1 samples
   /// round(base * scale) topologies per k). 1 = the tracked default.
   double scale = 1.0;
-  /// Parallel core shard count per trial fabric (--shards; assign to
-  /// ScenarioConfig::shards). Orthogonal to --shard I/N journal sharding
-  /// and to --jobs: trials stay deterministic at any combination.
-  int sim_shards = 1;
   std::string json_path;  // empty = don't write JSON
 
   // Crash-safe execution (exp/worker_pool.hpp has the semantics).

@@ -46,21 +46,8 @@ class ProgressSink {
     if (cancel_.load(std::memory_order_acquire)) throw CancelledError();
   }
 
-  /// Non-throwing heartbeat for parallel-core (src/par) worker threads:
-  /// publish the engine-wide event count so the monitor sees a live trial,
-  /// without beacon()'s throw-on-cancel — worker threads must not throw
-  /// through the window barrier, so cancellation instead surfaces on the
-  /// coordinator through par::Engine's abort handler.
-  void heartbeat(std::uint64_t events) {
-    events_.store(events, std::memory_order_relaxed);
-    beats_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Watchdog side: make the next beacon throw.
   void request_cancel() { cancel_.store(true, std::memory_order_release); }
-  bool cancel_requested() const {
-    return cancel_.load(std::memory_order_acquire);
-  }
 
   /// Monitoring reads (watchdog / progress line); racy-by-design counters.
   std::uint64_t beats() const { return beats_.load(std::memory_order_relaxed); }

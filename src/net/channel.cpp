@@ -10,14 +10,7 @@ Channel::Channel(Network& net, Node& dst, int dst_port, sim::TimePs prop_delay)
     : net_(net),
       dst_(dst),
       dst_port_(dst_port),
-      prop_delay_(prop_delay),
-      final_hop_(!dst.is_switch()) {}
-
-void Channel::ensure_flight_timer() {
-  if (!flight_timer_.valid())
-    flight_timer_ =
-        dst_.sched_ref().register_multishot([this] { flight_arrival(); });
-}
+      prop_delay_(prop_delay) {}
 
 void Channel::flight_arrival() {
   Packet* pkt = flight_.front();
@@ -36,17 +29,13 @@ void Channel::flight_arrival() {
 
 void Channel::propagate(Packet* pkt, sim::TimePs delay) {
   if (delay == prop_delay_) {
-    ShardContext* c = shard_ctx();
-    if (c != nullptr) {
-      par_propagate(pkt, *c);
-      return;
-    }
     // Fixed-delay fast path: the packet rides the wire FIFO and the shared
     // multishot timer. fire_at takes its sequence number right here, where
     // schedule_in took it, so arrival order is byte-identical.
-    ensure_flight_timer();
-    flight_.push_back(pkt);
     sim::Scheduler& sched = dst_.sched_ref();
+    if (!flight_timer_.valid())
+      flight_timer_ = sched.register_multishot([this] { flight_arrival(); });
+    flight_.push_back(pkt);
     sched.fire_at(flight_timer_, sched.now() + delay);
     return;
   }
@@ -60,59 +49,6 @@ void Channel::propagate(Packet* pkt, sim::TimePs delay) {
     }
     dst_.receive(pkt, dst_port_);
   });
-}
-
-void Channel::par_propagate(Packet* pkt, ShardContext& c) {
-  sim::Scheduler& dsched = dst_.sched_ref();
-  const sim::TimePs t_arr = c.sched->now() + prop_delay_;
-  std::uint64_t g_direct = 0;
-  if (c.log == nullptr) {
-    // Direct (coordinator boundary) mode: single-threaded, the fire_at
-    // draws the next true global sequence number — remember it for the
-    // split hook below.
-    g_direct = c.gseq != nullptr ? *c.gseq : 0;
-    flight_.push_back(pkt);
-    dsched.fire_at(flight_timer_, t_arr);
-  } else if (&dsched == c.sched) {
-    // Same-shard wire. The window is at most tau = min prop delay wide, so
-    // t_arr lands at/after the window end and fire_at logs a deferred
-    // record; the packet joins the wire FIFO directly.
-    flight_.push_back(pkt);
-    dsched.fire_at(flight_timer_, t_arr);
-  } else {
-    // Cross-shard wire: the destination scheduler belongs to another
-    // worker. Stage the packet (the coordinator splices it into flight_ at
-    // the barrier, in log-replay order) and log a foreign deferred fire_at.
-    // Reading the multishot timer's generation from this thread is safe:
-    // it never changes while the timer stays registered.
-    staged_.push_back(pkt);
-    sim::WinRecord r;
-    r.kind = sim::WinRecord::kCall;
-    r.flags = sim::WinRecord::kDeferred | sim::WinRecord::kForeignLive;
-    r.slot = flight_timer_.value - 1;
-    r.gen = dsched.timer_gen(flight_timer_);
-    r.t = t_arr;
-    r.target = &dsched;
-    c.log->recs.push_back(r);
-  }
-  // Completion-split prediction. The final hop is lossless and FIFO, so
-  // the arrival whose cumulative bytes reach size_bytes is exactly the
-  // delivery that completes the flow. Completions touch global state
-  // (workload relaunch, FCT stats), so the coordinator must execute that
-  // arrival as a boundary step — mark the logged fire (window mode) or
-  // hand the key to the agenda hook (direct mode).
-  if (final_hop_ && pkt->type == PacketType::kData && pkt->flow >= 0) {
-    Flow& f = net_.flow(pkt->flow);
-    if (!f.unbounded()) {
-      f.par_wire_bytes += pkt->size_bytes;
-      if (f.par_wire_bytes >= f.size_bytes) {
-        if (c.log != nullptr)
-          c.log->recs.back().flags |= sim::WinRecord::kSplit;
-        else if (c.on_split != nullptr)
-          c.on_split(c.split_env, t_arr, g_direct);
-      }
-    }
-  }
 }
 
 void Channel::deliver(Packet* pkt) {

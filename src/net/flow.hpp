@@ -35,12 +35,6 @@ struct Flow {
   std::int64_t bytes_enqueued = 0;   // handed to the sender NIC
   std::int64_t bytes_delivered = 0;  // arrived at the destination
 
-  /// Sharded-core bookkeeping (src/par): bytes that have entered the final
-  /// wire hop toward dst. The final hop is lossless FIFO, so the arrival
-  /// whose bytes reach size_bytes is the delivery that completes the flow —
-  /// the coordinator runs that arrival as a boundary step.
-  std::int64_t par_wire_bytes = 0;
-
   bool unbounded() const { return size_bytes == kUnbounded; }
   bool sender_done() const { return !unbounded() && bytes_enqueued >= size_bytes; }
   bool completed() const { return !unbounded() && bytes_delivered >= size_bytes; }

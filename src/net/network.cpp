@@ -111,62 +111,10 @@ Flow& Network::create_flow(NodeId src, NodeId dst, std::uint8_t priority,
 }
 
 void Network::notify_delivery(const Packet& pkt) {
-  ShardContext* c = shard_ctx();
-  if (c != nullptr && c->log != nullptr) {
-    // Listener state is global; log the fields listeners consume and replay
-    // the notification on the coordinator at the barrier, in merge order.
-    sim::WinRecord r;
-    r.kind = sim::WinRecord::kDelivery;
-    r.flags = pkt.priority;
-    r.slot = static_cast<std::uint32_t>(pkt.src);
-    r.gen = static_cast<std::uint32_t>(pkt.dst);
-    r.aux = static_cast<std::uint32_t>(pkt.size_bytes);
-    r.t = c->sched->now();
-    r.prov = static_cast<std::uint64_t>(pkt.flow);
-    c->log->recs.push_back(r);
-    return;
-  }
   for (DeliveryListener* l : delivery_listeners_) l->on_delivery(pkt, sched_.now());
 }
 
-void Network::replay_delivery(const sim::WinRecord& r) {
-  // The original Packet may already be freed and reused; listeners only read
-  // the routing/size fields, so a synthesized packet carries the logged view.
-  Packet tmp;
-  tmp.type = PacketType::kData;
-  tmp.priority = r.flags;
-  tmp.size_bytes = static_cast<std::int64_t>(r.aux);
-  tmp.src = static_cast<NodeId>(r.slot);
-  tmp.dst = static_cast<NodeId>(r.gen);
-  tmp.flow = static_cast<FlowId>(r.prov);
-  for (DeliveryListener* l : delivery_listeners_) l->on_delivery(tmp, r.t);
-}
-
-void Network::stage_trace(ShardContext& c, trace::EventType type,
-                          std::int32_t node, std::int32_t port,
-                          std::int32_t prio, std::uint64_t id,
-                          std::int64_t value) {
-  if (!tracer_->enabled(trace::category_of(type))) return;
-  trace::TraceEvent e;
-  e.t = c.sched->now();
-  e.value = value;
-  e.id = id;
-  e.node = node;
-  e.port = static_cast<std::int16_t>(port);
-  e.prio = static_cast<std::int8_t>(prio);
-  e.type = static_cast<std::uint8_t>(type);
-  sim::WinRecord r;
-  r.kind = sim::WinRecord::kTrace;
-  r.aux = static_cast<std::uint32_t>(c.trace_stage->size());
-  c.trace_stage->push_back(e);
-  c.log->recs.push_back(r);
-}
-
 void Network::notify_completion(Flow& flow) {
-  // Completions must run on the coordinator between windows (the split
-  // prediction in Channel::propagate guarantees it) — listeners relaunch
-  // flows through the shared rng and the main scheduler.
-  assert(shard_ctx() == nullptr || shard_ctx()->log == nullptr);
   for (auto& fn : completion_listeners_) fn(flow);
 }
 

@@ -43,43 +43,6 @@ struct Counters {
   std::uint64_t failover_drops = 0;      // stranded on a dead egress, no route
 };
 
-/// Per-thread routing context for the sharded parallel core (src/par). A
-/// worker executing one shard's window installs a context, and Network's
-/// hot-path accessors (pool / counters / trace_event / notify_delivery)
-/// route to shard-local replicas whose effects are merged deterministically
-/// at the barrier; the coordinator installs a "direct" context (log ==
-/// nullptr) that routes to the Network-owned instances but draws ids and
-/// sequence numbers from the shared global counters. No context installed
-/// (the default, and always on the single-threaded engine) means no routing
-/// at all.
-struct ShardContext {
-  sim::Scheduler* sched = nullptr;  // shard scheduler (direct mode: main)
-  PacketPool* pool = nullptr;
-  Counters* counters = nullptr;
-  sim::WindowLog* log = nullptr;    // non-null => window (parallel) mode
-  std::vector<trace::TraceEvent>* trace_stage = nullptr;  // window staging
-  std::uint64_t* gseq = nullptr;  // shared global event-sequence counter
-  // Direct-mode completion-split hook (Channel::propagate -> par agenda).
-  void (*on_split)(void* env, sim::TimePs t, std::uint64_t g) = nullptr;
-  void* split_env = nullptr;
-};
-
-namespace detail {
-inline thread_local ShardContext* t_shard_ctx = nullptr;
-}  // namespace detail
-inline ShardContext* shard_ctx() { return detail::t_shard_ctx; }
-inline void set_shard_ctx(ShardContext* c) { detail::t_shard_ctx = c; }
-
-/// Parallel-engine hook: when installed, Network::run_until hands the run
-/// to the sharded coordinator instead of the single scheduler.
-class ParHook {
- public:
-  virtual ~ParHook() = default;
-  virtual void run_until(sim::TimePs t_end) = 0;
-  virtual std::uint64_t executed_events() const = 0;
-  virtual std::uint64_t packets_created() const = 0;
-};
-
 class Network {
  public:
   Network();
@@ -88,10 +51,7 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   sim::Scheduler& sched() { return sched_; }
-  PacketPool& pool() {
-    ShardContext* c = shard_ctx();
-    return c != nullptr ? *c->pool : pool_;
-  }
+  PacketPool& pool() { return pool_; }
   sim::Rng& rng() { return rng_; }
   void reseed(std::uint64_t seed) { rng_ = sim::Rng(seed); }
 
@@ -152,10 +112,7 @@ class Network {
   Packet* clone_control(const Packet& src);
 
   // --- observation ----------------------------------------------------------
-  Counters& counters() {
-    ShardContext* c = shard_ctx();
-    return c != nullptr ? *c->counters : counters_;
-  }
+  Counters& counters() { return counters_; }
   const Counters& counters() const { return counters_; }
 
   /// Install (or clear) the binary tracer. Not owned (runner::Fabric owns
@@ -165,17 +122,10 @@ class Network {
   trace::Tracer* tracer() { return tracer_; }
 
   /// Hot-path trace hook. With no tracer installed this is one predictable
-  /// branch; arguments are values the caller already holds. Inside a shard
-  /// window the record is staged in the shard's log and appended to the
-  /// real tracer at the barrier, in replay order.
+  /// branch; arguments are values the caller already holds.
   void trace_event(trace::EventType type, std::int32_t node, std::int32_t port,
                    std::int32_t prio, std::uint64_t id, std::int64_t value) {
     if (tracer_ == nullptr) return;
-    ShardContext* c = shard_ctx();
-    if (c != nullptr && c->log != nullptr) {
-      stage_trace(*c, type, node, port, prio, id, value);
-      return;
-    }
     tracer_->record(type, sched_.now(), node, port, prio, id, value);
   }
 
@@ -189,49 +139,13 @@ class Network {
 
   void free_packet(Packet* pkt) { pool().release(pkt); }
 
-  /// Advance the simulation (through the parallel coordinator when one is
-  /// installed).
-  void run_until(sim::TimePs t) {
-    if (par_ != nullptr) {
-      par_->run_until(t);
-      return;
-    }
-    sched_.run_until(t);
-  }
+  /// Advance the simulation to `t` (see Scheduler::run_until).
+  void run_until(sim::TimePs t) { sched_.run_until(t); }
 
-  /// Install (or clear) the sharded parallel coordinator. Not owned.
-  void set_par_hook(ParHook* p) { par_ = p; }
-  ParHook* par_hook() { return par_; }
-
-  /// Events executed so far, summed across shards when sharded.
-  std::uint64_t executed_events() const {
-    return par_ != nullptr ? par_->executed_events() : sched_.executed_events();
-  }
-  /// Packets ever allocated, from the global id counter when sharded.
-  std::uint64_t packets_created() const {
-    return par_ != nullptr ? par_->packets_created() : pool_.total_created();
-  }
-
-  // --- sharded-core plumbing (src/par) -------------------------------------
-  std::size_t channel_count() const { return channels_.size(); }
-  Channel& channel(std::size_t i) { return *channels_[i]; }
-
-  /// Re-dispatch a logged delivery notification (barrier merge replay).
-  void replay_delivery(const sim::WinRecord& r);
-
-  /// Append a shard-staged trace record to the real tracer (merge replay;
-  /// produces the exact record the single-threaded hot path would have).
-  void emit_trace(const trace::TraceEvent& e) {
-    if (tracer_ != nullptr)
-      tracer_->record(e.event_type(), e.t, e.node, e.port, e.prio, e.id,
-                      e.value);
-  }
+  std::uint64_t executed_events() const { return sched_.executed_events(); }
+  std::uint64_t packets_created() const { return pool_.total_created(); }
 
  private:
-  void stage_trace(ShardContext& c, trace::EventType type, std::int32_t node,
-                   std::int32_t port, std::int32_t prio, std::uint64_t id,
-                   std::int64_t value);
-
   template <typename NodeT, typename... Args>
   NodeT& emplace_node(Args&&... args);
 
@@ -243,7 +157,6 @@ class Network {
   std::deque<Flow> flows_;  // deque: stable Flow& across mid-run create_flow
   std::unique_ptr<CcModule> cc_;
   ControlFaultHook* fault_hook_ = nullptr;
-  ParHook* par_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   sim::TimePs control_delay_ = 0;
   Counters counters_;

@@ -48,12 +48,9 @@ class Node {
   Network& network() { return net_; }
   const Network& network() const { return net_; }
 
-  /// Scheduler this node's events run on: the Network's scheduler, unless
-  /// the sharded core (src/par) re-pointed the node at its shard. All
-  /// node-side timers and callbacks must go through this — never
-  /// network().sched() — so a shard's events stay on the shard.
+  /// Scheduler this node's events run on (the Network's; cached here
+  /// because Network is incomplete in this header).
   sim::Scheduler& sched_ref() { return *sched_; }
-  void set_shard_sched(sim::Scheduler* s) { sched_ = s; }
 
   int port_count() const { return static_cast<int>(ports_.size()); }
   EgressPort& port(int i) { return *ports_[static_cast<std::size_t>(i)]; }
@@ -88,7 +85,7 @@ class Node {
   friend class Network;
 
   Network& net_;
-  sim::Scheduler* sched_;  // set in the ctor; re-pointed by src/par
+  sim::Scheduler* sched_;  // &net_.sched(), set in the ctor
   NodeId id_;
   std::string name_;
   std::vector<std::unique_ptr<EgressPort>> ports_;

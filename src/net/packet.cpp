@@ -12,18 +12,7 @@ Packet* PacketPool::acquire() {
   Packet* pkt = free_list_.back();
   free_list_.pop_back();
   *pkt = Packet{};
-  if (log_ != nullptr) {
-    pkt->id = prov_base_ | prov_next_++;
-    sim::WinRecord r;
-    r.kind = sim::WinRecord::kAlloc;
-    r.prov = pkt->id;
-    r.target = pkt;
-    log_->recs.push_back(r);
-  } else if (shared_id_ != nullptr) {
-    pkt->id = (*shared_id_)++;
-  } else {
-    pkt->id = next_id_++;
-  }
+  pkt->id = next_id_++;
   ++live_;
   return pkt;
 }

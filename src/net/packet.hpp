@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "sim/window.hpp"
 
 namespace gfc::net {
 
@@ -101,20 +100,6 @@ class PacketPool {
   std::size_t live_count() const { return live_; }
   std::uint64_t total_created() const { return next_id_ - 1; }
 
-  // --- sharded-core id modes (src/par) -------------------------------------
-  /// Direct mode: draw ids from a shared global counter (coordinator
-  /// boundary steps). Null restores the pool-own counter.
-  void set_id_source(std::uint64_t* shared) { shared_id_ = shared; }
-  /// Window mode: hand out provisional ids tagged with the shard index and
-  /// log each allocation; the barrier merge assigns true global ids in
-  /// replay order and patches the packets in place.
-  void begin_window(sim::WindowLog* log, std::uint32_t shard) {
-    log_ = log;
-    prov_base_ = sim::kProvSeqBit | (std::uint64_t{shard} << 48);
-    prov_next_ = 0;
-  }
-  void end_window() { log_ = nullptr; }
-
  private:
   static constexpr std::size_t kChunk = 1024;
 
@@ -122,10 +107,6 @@ class PacketPool {
   std::vector<Packet*> free_list_;
   std::uint64_t next_id_ = 1;
   std::size_t live_ = 0;
-  std::uint64_t* shared_id_ = nullptr;
-  sim::WindowLog* log_ = nullptr;
-  std::uint64_t prov_base_ = 0;
-  std::uint64_t prov_next_ = 0;
 };
 
 }  // namespace gfc::net

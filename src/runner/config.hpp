@@ -248,15 +248,6 @@ struct ScenarioConfig {
   net::EcnConfig ecn;  // disabled unless a DCQCN study turns it on
   std::uint64_t seed = 1;
 
-  /// Parallel core (src/par): shard count for the conservative PDES
-  /// engine. 1 (the default) runs the plain single-threaded scheduler;
-  /// N > 1 partitions the fabric at switch granularity (topo::partition)
-  /// and runs one worker thread per shard, with outputs byte-identical to
-  /// shards = 1 at any N. Fault injection and ECN/DCQCN are pinned to the
-  /// sequential engine: requesting shards with either enabled falls back
-  /// to 1 with a stderr warning.
-  int shards = 1;
-
   /// Runtime control-frame fault injection; all-zero rates (the default)
   /// install no hook and leave every event identical to the seed.
   fault::FaultConfig fault;

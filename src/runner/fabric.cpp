@@ -1,8 +1,6 @@
 #include "runner/fabric.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 #include "analyze/analyze.hpp"
 #include "analyze/incremental.hpp"
@@ -12,8 +10,6 @@
 #include "flowctl/cbfc.hpp"
 #include "flowctl/pfc.hpp"
 #include "mech/dcfit.hpp"
-#include "par/engine.hpp"
-#include "topo/partition.hpp"
 
 namespace gfc::runner {
 
@@ -87,32 +83,6 @@ Fabric::Fabric(const topo::Topology& topo, const ScenarioConfig& cfg)
     peer_map_[{link.a, pa}] = link.b;
     peer_map_[{link.b, pb}] = link.a;
   }
-  // Parallel core: attach before flow control so every FC timer lands on
-  // its owner's shard scheduler with a globally-sequenced key. Faults and
-  // ECN/DCQCN are pinned to the sequential engine (their hooks touch
-  // cross-shard state outside the wire discipline the lookahead relies on).
-  if (cfg_.shards > 1) {
-    if (cfg_.fault.enabled() || cfg_.ecn.enabled) {
-      std::fprintf(stderr,
-                   "fabric: %d shards requested but fault injection / ECN are "
-                   "pinned to the sequential engine; running 1 shard\n",
-                   cfg_.shards);
-    } else if (cfg_.link.prop_delay <= 0) {
-      std::fprintf(stderr,
-                   "fabric: %d shards requested but zero propagation delay "
-                   "leaves no lookahead; running 1 shard\n",
-                   cfg_.shards);
-    } else {
-      const std::vector<int> shard_of =
-          topo::partition(topo, cfg_.shards, cfg_.seed);
-      const int eff =
-          shard_of.empty()
-              ? 1
-              : 1 + *std::max_element(shard_of.begin(), shard_of.end());
-      if (eff > 1)
-        engine_ = std::make_unique<par::Engine>(net_, shard_of, eff);
-    }
-  }
   // Flow control attaches last: gates need the peer wiring.
   for (std::size_t i = 0; i < topo.node_count(); ++i) {
     auto module = make_fc_module(cfg_);
@@ -126,7 +96,6 @@ Fabric::Fabric(const topo::Topology& topo, const ScenarioConfig& cfg)
   // and goldens are untouched — and throws CancelledError once the
   // watchdog requests cancellation, unwinding the trial out of run_until.
   if (exp::ProgressSink* sink = exp::current_progress_sink()) {
-    progress_sink_ = sink;
     constexpr sim::TimePs kBeaconPeriod = sim::us(100);
     sim::Scheduler& sched = net_.sched();
     progress_timer_ = sched.register_timer([this, sink] {
@@ -135,26 +104,9 @@ Fabric::Fabric(const topo::Topology& topo, const ScenarioConfig& cfg)
       // fresh object anyway — but keeping the timer armed costs nothing and
       // keeps the no-cancel path a plain periodic timer.
       s.arm_timer(progress_timer_, s.now() + kBeaconPeriod);
-      // net_.executed_events() totals across shards when the parallel
-      // engine is attached (the beacon fires as a coordinator boundary
-      // step, so the shard counters are barrier-exact here).
-      sink->beacon(s.now(), net_.executed_events());
+      sink->beacon(s.now(), s.executed_events());
     });
     sched.arm_timer(progress_timer_, sched.now() + kBeaconPeriod);
-    if (engine_) {
-      // Shard-aware watchdog wiring: every worker polls this during a
-      // window, so one wedged shard still heartbeats engine-wide progress
-      // and observes --trial-timeout cancellation even while the main
-      // scheduler (and its beacon timer) sits blocked at the barrier.
-      engine_->set_cancel_poll(
-          [](void* env) -> bool {
-            auto* f = static_cast<Fabric*>(env);
-            f->progress_sink_->heartbeat(f->net_.executed_events());
-            return f->progress_sink_->cancel_requested();
-          },
-          this);
-      engine_->set_abort_handler([] { throw exp::CancelledError(); });
-    }
   }
 }
 

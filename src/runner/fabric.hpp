@@ -15,10 +15,6 @@
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 
-namespace gfc::par {
-class Engine;
-}
-
 namespace gfc::analyze {
 class IncrementalAnalyzer;
 struct Report;
@@ -33,7 +29,7 @@ std::unique_ptr<net::FcModule> make_fc_module(const ScenarioConfig& cfg);
 class Fabric {
  public:
   Fabric(const topo::Topology& topo, const ScenarioConfig& cfg);
-  ~Fabric();  // out-of-line: par::Engine is incomplete here
+  ~Fabric();  // out-of-line: analyze::IncrementalAnalyzer is incomplete here
 
   net::Network& net() { return net_; }
   const ScenarioConfig& config() const { return cfg_; }
@@ -77,10 +73,6 @@ class Fabric {
   /// The installed tracer (null unless cfg.trace.enabled).
   trace::Tracer* tracer() { return tracer_.get(); }
 
-  /// The parallel core (null when cfg.shards <= 1, or when the scenario
-  /// pinned the sequential engine — faults, ECN, single-switch topology).
-  par::Engine* par_engine() { return engine_.get(); }
-
   /// Node-id -> topo-name resolver for the trace exporters.
   trace::NodeNameFn node_name_fn();
 
@@ -104,12 +96,6 @@ class Fabric {
   std::unique_ptr<analyze::IncrementalAnalyzer> analyzer_;
   const topo::Topology* analyzed_topo_ = nullptr;
   int reverdicts_ = 0;
-  /// Declared last: the engine joins its workers and restores the
-  /// single-threaded wiring before anything else tears down.
-  std::unique_ptr<par::Engine> engine_;
-  /// The campaign sink observed at construction (null outside a worker
-  /// pool); the parallel engine's cancel poll reads it from shard threads.
-  exp::ProgressSink* progress_sink_ = nullptr;
 };
 
 }  // namespace gfc::runner

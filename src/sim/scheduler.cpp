@@ -108,11 +108,6 @@ void Scheduler::clear() {
   slots_used_ = 0;
   free_head_ = kNoFreeSlot;
   next_seq_ = 0;
-  shared_seq_ = nullptr;
-  window_log_ = nullptr;
-  win_end_t_ = 0;
-  win_end_seq_ = 0;
-  prov_next_ = 0;
   now_ = 0;
   live_ = 0;
   executed_ = 0;
@@ -184,58 +179,6 @@ void Scheduler::insert_entry(TimePs t, std::uint64_t seq, std::uint32_t slot,
   const std::uint32_t wslot =
       static_cast<std::uint32_t>(tick >> (kLevelBits * level)) & kSlotMask;
   wheel_link(level, wslot, t, seq, slot, gen);
-}
-
-void Scheduler::queue_call(TimePs t, std::uint32_t slot, std::uint32_t gen) {
-  if (window_log_ == nullptr) {
-    const std::uint64_t seq = shared_seq_ != nullptr ? (*shared_seq_)++  //
-                                                     : next_seq_++;
-    insert_entry(t, seq, slot, gen);
-    return;
-  }
-  // Window mode: log the call for barrier-merge sequence assignment. A
-  // call landing inside the window queues locally under a provisional key;
-  // one at or past the window end only logs (kDeferred) and is queued with
-  // its true sequence by apply_logged_insert() at the barrier. Every
-  // provisional key at win_end_t_ would sort at or past (win_end_t_,
-  // win_end_seq_) anyway — kProvSeqBit outranks any true sequence — so
-  // t >= win_end_t_ is the exact deferral condition.
-  WinRecord r;
-  r.kind = WinRecord::kCall;
-  r.slot = slot;
-  r.gen = gen;
-  r.t = t;
-  if (t >= win_end_t_) {
-    r.flags = WinRecord::kDeferred;
-    window_log_->recs.push_back(r);
-    return;
-  }
-  r.prov = kProvSeqBit | prov_next_++;
-  window_log_->recs.push_back(r);
-  insert_entry(t, r.prov, slot, gen);
-}
-
-bool Scheduler::run_window(PollFn poll, void* poll_ctx) {
-  HeapEntry e;
-  std::uint32_t since_poll = 0;
-  while (peek_live(&e)) {
-    if (e.t > win_end_t_ || (e.t == win_end_t_ && e.seq >= win_end_seq_))
-      break;
-    ++near_idx_;
-    now_ = e.t;
-    // One log group per executed event: its queue key plus the record
-    // range its callback appends (scheduler calls, allocs, traces,
-    // deliveries — in true call order).
-    const auto first = static_cast<std::uint32_t>(window_log_->recs.size());
-    window_log_->groups.push_back(WinGroup{e.t, e.seq, first, 0});
-    const std::size_t gi = window_log_->groups.size() - 1;
-    execute(e);
-    window_log_->groups[gi].n =
-        static_cast<std::uint32_t>(window_log_->recs.size()) - first;
-    if ((++since_poll & 4095u) == 0 && poll != nullptr && poll(poll_ctx))
-      return false;
-  }
-  return true;
 }
 
 bool Scheduler::advance_once(Tick limit) {

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "sim/window.hpp"
 
 namespace gfc::sim {
 
@@ -224,93 +223,8 @@ class Scheduler {
   /// Request that run_until/run_all return after the current event.
   void request_stop() { stop_requested_ = true; }
 
-  /// Whether request_stop() fired during the last run_until/run_all (or
-  /// since clear_stop()). The sharded coordinator polls this between
-  /// boundary steps instead of calling run_until.
-  bool stop_requested() const { return stop_requested_; }
-  void clear_stop() { stop_requested_ = false; }
-
   std::size_t pending_events() const { return live_; }
   std::uint64_t executed_events() const { return executed_; }
-
-  // --- sharded-PDES hooks (src/par) ---------------------------------------
-  // Three sequencing modes for the FIFO tiebreaker:
-  //  - own counter (default): the classic single-threaded engine;
-  //  - direct: seqs come from a shared global counter (coordinator-side
-  //    single-threaded setup and boundary steps across many schedulers);
-  //  - window: seqs are provisional (kProvSeqBit | local counter) and every
-  //    sequence-taking call is logged for barrier-merge reassignment.
-  // The merge algorithm and the determinism argument live in src/par.
-
-  /// Install (or remove, with nullptr) a shared global sequence counter.
-  void set_seq_source(std::uint64_t* shared) { shared_seq_ = shared; }
-
-  /// Next FIFO sequence number the own counter would assign. The sharded
-  /// engine seeds its shared global counter from the main scheduler's
-  /// value at attach time, so the combined sequence stream continues
-  /// exactly where the single-threaded one stood.
-  std::uint64_t next_seq() const { return next_seq_; }
-
-  /// Enter window mode: log sequence-taking calls into `log`, assign
-  /// provisional keys, and defer (log without queuing) any call that
-  /// targets t >= end_t — those are applied with true sequence numbers by
-  /// apply_logged_insert() at the barrier. The window executes keys
-  /// strictly below (end_t, end_seq); end_seq is a true (untagged) global
-  /// sequence, so every provisional key at end_t sorts at or past the end.
-  void begin_window(WindowLog* log, TimePs end_t, std::uint64_t end_seq) {
-    window_log_ = log;
-    win_end_t_ = end_t;
-    win_end_seq_ = end_seq;
-    prov_next_ = 0;
-  }
-  void end_window() { window_log_ = nullptr; }
-  bool in_window() const { return window_log_ != nullptr; }
-
-  /// Execute every pending event with key < (end_t, end_seq) of
-  /// begin_window(). `poll`, when non-null, is consulted every 4096 events;
-  /// returning true aborts the window (the caller abandons the run).
-  /// Returns false iff aborted.
-  using PollFn = bool (*)(void*);
-  bool run_window(PollFn poll, void* poll_ctx);
-
-  /// Jump the clock forward without executing anything (never backward).
-  /// Legal only when every pending key at or below `t` has been executed —
-  /// the coordinator advances all shard clocks to each boundary step's
-  /// timestamp so now()-dependent callbacks observe the sequential clock.
-  void advance_now(TimePs t) {
-    if (t > now_) now_ = t;
-  }
-
-  /// Earliest pending key without consuming it. False when empty. Between
-  /// windows every key is a true global sequence.
-  bool peek_next_key(TimePs* t, std::uint64_t* seq) {
-    HeapEntry e;
-    if (!peek_live(&e)) return false;
-    *t = e.t;
-    *seq = e.seq;
-    return true;
-  }
-
-  /// Barrier-merge apply of a deferred logged call: queue (t, seq) for
-  /// `slot` iff the slot generation still matches (a mismatch means the
-  /// event was cancelled/re-armed later in the window; the merge consumed
-  /// its sequence number regardless, exactly like the sequential engine).
-  /// `bump_live` is set for cross-shard multishot fire_at, whose live
-  /// count could not be touched from the foreign thread.
-  void apply_logged_insert(std::uint32_t slot, std::uint32_t gen, TimePs t,
-                           std::uint64_t seq, bool bump_live) {
-    Slot& s = *slot_ptr(slot);
-    if (s.gen != gen) return;
-    insert_entry(t, seq, slot, gen);
-    if (bump_live) ++live_;
-  }
-
-  /// Slot generation of a registered timer — stable for multishot timers
-  /// (never bumped while registered), which makes the cross-shard fire_at
-  /// log entry safe to stamp from the sending shard's thread.
-  std::uint32_t timer_gen(TimerId timer) {
-    return slot_ptr(timer.value - 1)->gen;
-  }
 
  private:
   /// Inline storage for event callbacks. Sized for the repo's captures
@@ -391,9 +305,11 @@ class Scheduler {
   std::uint32_t alloc_slot();
   void release_slot(std::uint32_t idx, Slot& s);
 
-  /// Queue a sequence-taking call for `slot` at time `t` under the active
-  /// sequencing mode (own counter / shared counter / window log).
-  void queue_call(TimePs t, std::uint32_t slot, std::uint32_t gen);
+  /// Queue a firing of `slot` at time `t` under the next FIFO sequence
+  /// number.
+  void queue_call(TimePs t, std::uint32_t slot, std::uint32_t gen) {
+    insert_entry(t, next_seq_++, slot, gen);
+  }
 
   /// Route a pending entry to the near batch (tick <= cursor), a wheel slot
   /// (within the horizon) or the overflow heap.
@@ -439,14 +355,6 @@ class Scheduler {
   std::vector<HeapEntry> overflow_;  // 4-ary min-heap, (t, seq) order
 
   std::uint64_t next_seq_ = 0;
-
-  // Sharded-PDES sequencing state (see the public hooks above). All null /
-  // zero in the single-threaded engine.
-  std::uint64_t* shared_seq_ = nullptr;  // direct mode: shared global counter
-  WindowLog* window_log_ = nullptr;      // window mode when non-null
-  TimePs win_end_t_ = 0;
-  std::uint64_t win_end_seq_ = 0;
-  std::uint64_t prov_next_ = 0;  // provisional-seq counter, reset per window
 
   TimePs now_ = 0;
   std::size_t live_ = 0;  // scheduled, not yet fired or cancelled

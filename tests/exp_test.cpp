@@ -669,6 +669,9 @@ TEST(CliDeath, RejectsMalformedNumericArguments) {
               "expected an integer");
   EXPECT_EXIT(run({"--jobs"}), testing::ExitedWithCode(2), "usage:");
   EXPECT_EXIT(run({"--bogus"}), testing::ExitedWithCode(2), "usage:");
+  // Not a flag (the simulator is sequential), and not a prefix match for
+  // --shard I/N journal sharding either.
+  EXPECT_EXIT(run({"--shards", "4"}), testing::ExitedWithCode(2), "usage:");
 }
 
 TEST(Cli, FinishCliDistinguishesTimeoutsFromFailures) {

@@ -44,6 +44,50 @@ TEST(Ecmp, DeterministicAndSpread) {
   for (int h : histogram) EXPECT_GT(h, 50);  // roughly uniform
 }
 
+// ECMP selection: pow2 masking pinned (goldens depend on it), non-pow2
+// de-biased via the Lemire multiply-shift.
+
+TEST(EcmpSelect, PowerOfTwoPathIsPinnedToMasking) {
+  for (std::uint64_t salt : {1ull, 42ull, 0x12345678ull, ~0ull}) {
+    for (std::int32_t sw : {0, 1, 7, 1000}) {
+      for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                            std::size_t{8}, std::size_t{64}}) {
+        EXPECT_EQ(net::ecmp_select(salt, sw, n),
+                  static_cast<std::size_t>(net::ecmp_hash(salt, sw) & (n - 1)));
+      }
+    }
+  }
+}
+
+TEST(EcmpSelect, NonPowerOfTwoUsesMultiplyShift) {
+  for (std::uint64_t salt : {3ull, 99ull, 0xDEADBEEFull}) {
+    for (std::int32_t sw : {0, 5, 123}) {
+      for (std::size_t n : {std::size_t{3}, std::size_t{5}, std::size_t{7},
+                            std::size_t{12}}) {
+        const std::uint64_t h = net::ecmp_hash(salt, sw);
+        const auto expect = static_cast<std::size_t>(
+            (static_cast<unsigned __int128>(h) * n) >> 64);
+        EXPECT_EQ(net::ecmp_select(salt, sw, n), expect);
+        EXPECT_LT(net::ecmp_select(salt, sw, n), n);
+      }
+    }
+  }
+}
+
+TEST(EcmpSelect, NonPowerOfTwoIsRoughlyUniform) {
+  // 30k hashed salts over 3 choices: the multiply-shift keeps every bucket
+  // within 10% of the mean (the modulo path it replaced passes this too —
+  // the point is catching a future regression to a biased mapping).
+  constexpr int kTrials = 30000;
+  int count[3] = {0, 0, 0};
+  for (int i = 0; i < kTrials; ++i)
+    ++count[net::ecmp_select(static_cast<std::uint64_t>(i) * 0x9E37u + 1, 17, 3)];
+  for (int c : count) {
+    EXPECT_GT(c, kTrials / 3 * 9 / 10);
+    EXPECT_LT(c, kTrials / 3 * 11 / 10);
+  }
+}
+
 class TwoHostFixture : public ::testing::Test {
  protected:
   // H0 --- S0 --- H1, 10G links, 1 us propagation.

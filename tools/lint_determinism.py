@@ -44,28 +44,11 @@ ANALYZE_RULES = [
      "sorting by pointer comparator in src/analyze (address order)"),
 ]
 
-# Extra rules for the parallel core only: src/par promises byte-identical
-# results at any shard count, so every piece of cross-thread state must be
-# an atomic or sit behind the barrier mutex. These patterns catch the
-# cheap ways to smuggle shared state past that discipline.
-PAR_RULES = [
-    # Skips static member *functions* (a '(' before any '=', ';' or '{').
-    (re.compile(r"^\s*static\s+(?!const\b|constexpr\b|assert)(?![^;{=]*\()"),
-     "mutable static in src/par (shared state outside the barrier protocol)"),
-    (re.compile(r"\bvolatile\b"),
-     "volatile is not synchronization (use std::atomic)"),
-    (re.compile(r"thread_local"),
-     "thread-local state in src/par (worker-dependent results)"),
-]
-
 SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 
 
-def lint_file(path: pathlib.Path, in_par: bool,
-              in_analyze: bool = False) -> list[str]:
+def lint_file(path: pathlib.Path, in_analyze: bool = False) -> list[str]:
     rules = list(RULES)
-    if in_par:
-        rules += PAR_RULES
     if in_analyze:
         rules += ANALYZE_RULES
     findings = []
@@ -86,19 +69,17 @@ def main() -> int:
         print(f"lint_determinism: no src/ under {root}", file=sys.stderr)
         return 2
     findings = []
-    par = src / "par"
     analyze = src / "analyze"
     for path in sorted(src.rglob("*")):
         if path.suffix in SUFFIXES:
-            findings.extend(lint_file(path, path.is_relative_to(par),
-                                      path.is_relative_to(analyze)))
+            findings.extend(lint_file(path, path.is_relative_to(analyze)))
     # tools/ feeds the golden artifacts (gfc-analyze JSON above all), so it
     # obeys the same base rules as src/.
     tools = root / "tools"
     if tools.is_dir():
         for path in sorted(tools.rglob("*")):
             if path.suffix in SUFFIXES:
-                findings.extend(lint_file(path, False, False))
+                findings.extend(lint_file(path))
     if findings:
         print("determinism lint: %d finding(s)" % len(findings))
         for f in findings:
