@@ -50,16 +50,14 @@ inline TraceArtifacts trace_artifacts_for(const exp::CliOptions& cli,
 }
 
 /// Install a DeadlockOptions::on_detect that dumps the fabric's flight
-/// recorder (pre-stall windows + witness cycle) to `path`. No-op when the
-/// fabric has no tracer/recorder or `path` is empty.
+/// windows (pre-stall events + witness cycle) to `path`. No-op when the
+/// fabric has no tracer or `path` is empty.
 inline void arm_flight_dump(stats::DeadlockOptions* opts,
                             runner::Fabric& fabric, const std::string& path) {
-  if (path.empty() || fabric.net().tracer() == nullptr ||
-      fabric.net().tracer()->flight() == nullptr)
-    return;
+  if (path.empty() || fabric.net().tracer() == nullptr) return;
   runner::Fabric* f = &fabric;
   opts->on_detect = [f, path](const stats::DeadlockDetector& det) {
-    trace::dump_flight(path, *f->net().tracer()->flight(), f->node_name_fn(),
+    trace::dump_flight(path, f->net().tracer()->buffer(), f->node_name_fn(),
                        "deadlock detected at " +
                            sim::format_time(det.detected_at()) +
                            "\nwitness cycle: " +

@@ -1,13 +1,13 @@
-// Per-trial progress heartbeats and cooperative cancellation.
+// Cooperative cancellation of campaign trials.
 //
 // The worker pool publishes one ProgressSink per worker through a
 // thread-local pointer; runner::Fabric picks it up at construction and
-// installs a periodic scheduler timer that beacons (sim time, executed
-// events) into the sink as the trial runs. The pool's watchdog reads the
-// beacons from its own thread and, when a trial exceeds --trial-timeout,
-// sets the sink's cancel flag; the next beacon throws CancelledError,
-// unwinding the trial cleanly out of run_until (the trial's private
-// Network/Scheduler tears down as usual; the pool records `timed_out`).
+// installs a periodic scheduler timer that beacons into the sink as the
+// trial runs. When a trial exceeds --trial-timeout, the pool's watchdog
+// sets the sink's cancel flag from its own thread; the next beacon throws
+// CancelledError, unwinding the trial cleanly out of run_until (the
+// trial's private Network/Scheduler tears down as usual; the pool records
+// `timed_out`).
 //
 // Cancellation is cooperative: a trial that never beacons — a non-sim
 // trial body, or a pathological zero-delay event storm that starves the
@@ -20,7 +20,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <exception>
 
 namespace gfc::exp {
@@ -37,40 +36,20 @@ class CancelledError : public std::exception {
 
 class ProgressSink {
  public:
-  /// Publish a heartbeat; throws CancelledError when cancellation has been
+  /// Cancellation point; throws CancelledError once cancellation has been
   /// requested. Called from the trial's (worker) thread.
-  void beacon(std::int64_t sim_time_ps, std::uint64_t events) {
-    sim_time_ps_.store(sim_time_ps, std::memory_order_relaxed);
-    events_.store(events, std::memory_order_relaxed);
-    beats_.fetch_add(1, std::memory_order_relaxed);
+  void beacon() {
     if (cancel_.load(std::memory_order_acquire)) throw CancelledError();
   }
 
   /// Watchdog side: make the next beacon throw.
   void request_cancel() { cancel_.store(true, std::memory_order_release); }
 
-  /// Monitoring reads (watchdog / progress line); racy-by-design counters.
-  std::uint64_t beats() const { return beats_.load(std::memory_order_relaxed); }
-  std::int64_t sim_time_ps() const {
-    return sim_time_ps_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t events() const {
-    return events_.load(std::memory_order_relaxed);
-  }
-
   /// Re-arm for the next attempt (retries reuse the worker's sink).
-  void reset() {
-    cancel_.store(false, std::memory_order_release);
-    beats_.store(0, std::memory_order_relaxed);
-    sim_time_ps_.store(0, std::memory_order_relaxed);
-    events_.store(0, std::memory_order_relaxed);
-  }
+  void reset() { cancel_.store(false, std::memory_order_release); }
 
  private:
   std::atomic<bool> cancel_{false};
-  std::atomic<std::uint64_t> beats_{0};
-  std::atomic<std::int64_t> sim_time_ps_{0};
-  std::atomic<std::uint64_t> events_{0};
 };
 
 namespace detail {
@@ -89,9 +68,8 @@ inline void set_current_progress_sink(ProgressSink* sink) {
 /// Convenience for synthetic (non-sim) trial bodies: beacon if a sink is
 /// installed, else no-op. Long-running hand-written trials should call this
 /// inside their loops so --trial-timeout can reach them.
-inline void progress_checkpoint(std::int64_t sim_time_ps = 0,
-                                std::uint64_t events = 0) {
-  if (ProgressSink* s = current_progress_sink()) s->beacon(sim_time_ps, events);
+inline void progress_checkpoint() {
+  if (ProgressSink* s = current_progress_sink()) s->beacon();
 }
 
 }  // namespace gfc::exp

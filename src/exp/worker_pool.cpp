@@ -90,10 +90,10 @@ bool run_attempt(const Trial& trial, WorkerSlot& slot, TrialRecord& rec,
   bool cancelled = false;
   try {
     if (wedge) {
-      // Deliberately-wedged body: heartbeat forever so only the watchdog
+      // Deliberately-wedged body: beacon forever so only the watchdog
       // can end the attempt. Used by tests and the --wedge CI smoke.
-      for (std::uint64_t beat = 1;; ++beat) {
-        slot.sink.beacon(0, beat);
+      for (;;) {
+        slot.sink.beacon();
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
     }

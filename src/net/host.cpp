@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "net/network.hpp"
-#include "sim/logger.hpp"
 
 namespace gfc::net {
 

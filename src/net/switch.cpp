@@ -2,10 +2,10 @@
 
 #include <bit>
 #include <cassert>
+#include <cstdio>
 
 #include "net/ecmp.hpp"
 #include "net/network.hpp"
-#include "sim/logger.hpp"
 
 namespace gfc::net {
 
@@ -89,8 +89,9 @@ void SwitchNode::account_enqueue(Packet& pkt, int in_port) {
     // keep the packet (the sim has memory) but record the violation; every
     // test asserts this counter stays zero.
     ++network().counters().lossless_violations;
-    GFC_LOG_WARN_CAT(::gfc::trace::kCatPort,
-                 "%s: ingress buffer overflow on port %d prio %d (%lld > %lld)",
+    std::fprintf(stderr,
+                 "[WARN] %s: ingress buffer overflow on port %d prio %d "
+                 "(%lld > %lld)\n",
                  name().c_str(), in_port, pkt.priority,
                  static_cast<long long>(bytes), static_cast<long long>(buffer_));
   }
@@ -121,8 +122,8 @@ void SwitchNode::receive(Packet* pkt, int in_port) {
   const int out = route_for(*pkt);
   if (out < 0) {
     ++network().counters().route_drops;
-    GFC_LOG_ERROR_CAT(::gfc::trace::kCatPort, "%s: no route for dst %d, dropping",
-                      name().c_str(), pkt->dst);
+    std::fprintf(stderr, "[ERROR] %s: no route for dst %d, dropping\n",
+                 name().c_str(), pkt->dst);
     network().trace_event(trace::EventType::kDrop, id(), in_port,
                           pkt->priority, pkt->id, pkt->size_bytes);
     network().free_packet(pkt);

@@ -76,12 +76,7 @@ Fabric::Fabric(const topo::Topology& topo, const ScenarioConfig& cfg)
   for (std::size_t l = 0; l < topo.link_count(); ++l) {
     const auto& link = topo.link(static_cast<topo::LinkIndex>(l));
     if (!link.up) continue;
-    const auto [pa, pb] =
-        net_.connect(link.a, link.b, cfg.link.rate, cfg.link.prop_delay);
-    port_map_[{link.a, link.b}] = pa;
-    port_map_[{link.b, link.a}] = pb;
-    peer_map_[{link.a, pa}] = link.b;
-    peer_map_[{link.b, pb}] = link.a;
+    net_.connect(link.a, link.b, cfg.link.rate, cfg.link.prop_delay);
   }
   // Flow control attaches last: gates need the peer wiring.
   for (std::size_t i = 0; i < topo.node_count(); ++i) {
@@ -90,11 +85,11 @@ Fabric::Fabric(const topo::Topology& topo, const ScenarioConfig& cfg)
   }
   if (cfg_.fault.enabled())
     fault_plan_ = std::make_unique<fault::FaultPlan>(net_, cfg_.fault);
-  // Campaign watchdog heartbeat: when the worker pool installed a
-  // ProgressSink on this thread, beacon (sim time, executed events) on a
-  // persistent timer. The beacon only reads scheduler counters — results
-  // and goldens are untouched — and throws CancelledError once the
-  // watchdog requests cancellation, unwinding the trial out of run_until.
+  // Campaign watchdog cancellation point: when the worker pool installed a
+  // ProgressSink on this thread, beacon on a persistent timer. The beacon
+  // reads no simulation state — results and goldens are untouched — and
+  // throws CancelledError once the watchdog requests cancellation,
+  // unwinding the trial out of run_until.
   if (exp::ProgressSink* sink = exp::current_progress_sink()) {
     constexpr sim::TimePs kBeaconPeriod = sim::us(100);
     sim::Scheduler& sched = net_.sched();
@@ -104,7 +99,7 @@ Fabric::Fabric(const topo::Topology& topo, const ScenarioConfig& cfg)
       // fresh object anyway — but keeping the timer armed costs nothing and
       // keeps the no-cancel path a plain periodic timer.
       s.arm_timer(progress_timer_, s.now() + kBeaconPeriod);
-      sink->beacon(s.now(), s.executed_events());
+      sink->beacon();
     });
     sched.arm_timer(progress_timer_, sched.now() + kBeaconPeriod);
   }
@@ -120,13 +115,17 @@ trace::NodeNameFn Fabric::node_name_fn() {
 }
 
 int Fabric::port_to(topo::NodeIndex from, topo::NodeIndex to) const {
-  const auto it = port_map_.find({from, to});
-  return it == port_map_.end() ? -1 : it->second;
+  if (from < 0 || static_cast<std::size_t>(from) >= net_.node_count())
+    return -1;
+  return net_.find_port(from, to);
 }
 
 topo::NodeIndex Fabric::peer_of(topo::NodeIndex node, int port) const {
-  const auto it = peer_map_.find({node, port});
-  return it == peer_map_.end() ? -1 : it->second;
+  if (node < 0 || static_cast<std::size_t>(node) >= net_.node_count())
+    return -1;
+  const net::Node& n = net_.node(node);
+  if (port < 0 || port >= n.port_count()) return -1;
+  return n.peer(port).node;
 }
 
 const analyze::Report* Fabric::analysis() const {

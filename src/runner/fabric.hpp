@@ -3,7 +3,6 @@
 // net::NodeId values coincide by construction.
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "exp/progress.hpp"
@@ -38,6 +37,7 @@ class Fabric {
   net::SwitchNode& sw(topo::NodeIndex i) { return *net_.sw(i); }
 
   /// Port index on `from` of the (up) link toward `to`; -1 if absent.
+  /// Answered from the Network's wiring (first matching port).
   int port_to(topo::NodeIndex from, topo::NodeIndex to) const;
 
   /// Inverse of port_to: the node `node`'s `port` leads to; -1 if absent.
@@ -78,7 +78,7 @@ class Fabric {
 
  private:
   ScenarioConfig cfg_;
-  /// Watchdog heartbeat timer (see exp/progress.hpp): armed only when the
+  /// Watchdog beacon timer (see exp/progress.hpp): armed only when the
   /// constructing thread has a campaign ProgressSink installed.
   sim::TimerId progress_timer_;
   /// Declared before net_ so the tracer outlives every node's teardown.
@@ -86,9 +86,6 @@ class Fabric {
   net::Network net_;
   /// Declared after net_: the plan unhooks itself before the network dies.
   std::unique_ptr<fault::FaultPlan> fault_plan_;
-  std::map<std::pair<topo::NodeIndex, topo::NodeIndex>, int> port_map_;
-  /// (node, port) -> neighbor: port_map_ inverted, for witness mapping.
-  std::map<std::pair<topo::NodeIndex, int>, topo::NodeIndex> peer_map_;
   /// Fault-aware incremental re-analysis (see src/analyze/incremental.hpp):
   /// created lazily by the first install_routing that wants a verdict, fed
   /// a fresh report on every reroute. The analyzed topology must outlive

@@ -136,12 +136,11 @@ RunSummary run_closed_loop(FatTreeScenario& scenario, const RunOptions& opts) {
   stats::DeadlockOptions dl_opts{sim::ms(1), 3,
                                  opts.stop_on_deadlock && !opts.recover_deadlock,
                                  opts.recover_deadlock, {}};
-  if (!opts.flight_dump_path.empty() && net.tracer() != nullptr &&
-      net.tracer()->flight() != nullptr) {
+  if (!opts.flight_dump_path.empty() && net.tracer() != nullptr) {
     Fabric& fabric = *scenario.fabric;
     const std::string path = opts.flight_dump_path;
     dl_opts.on_detect = [&fabric, path](const stats::DeadlockDetector& det) {
-      trace::dump_flight(path, *fabric.net().tracer()->flight(),
+      trace::dump_flight(path, fabric.net().tracer()->buffer(),
                          fabric.node_name_fn(),
                          "deadlock detected at " +
                              sim::format_time(det.detected_at()) +

@@ -107,9 +107,9 @@ struct RunOptions {
   /// Drain-and-reset confirmed deadlock cycles instead of latching/stopping
   /// (DeadlockOptions::recover); overrides stop_on_deadlock.
   bool recover_deadlock = false;
-  /// When non-empty and the fabric has a tracer with a flight recorder,
-  /// every confirmed deadlock detection dumps the per-node pre-stall event
-  /// windows here (trace::write_flight_dump format).
+  /// When non-empty and the fabric has a tracer, every confirmed deadlock
+  /// detection dumps the per-node pre-stall event windows here
+  /// (trace::write_flight_dump format).
   std::string flight_dump_path;
   workload::FlowSizeCdf sizes = workload::FlowSizeCdf::enterprise();
 };

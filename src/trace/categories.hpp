@@ -1,11 +1,8 @@
 // Trace categories and event types.
 //
-// This header is dependency-free on purpose: sim::Logger (one layer below
-// the tracer) tags log statements with the same category bits the binary
-// tracer uses, so `--trace-categories` and the log filter speak one
-// vocabulary. Categories are compile-time constants; the event-type ->
-// category mapping is a constexpr switch that folds away at every call
-// site that passes a literal EventType.
+// Categories are compile-time constants; the event-type -> category
+// mapping is a constexpr switch that folds away at every call site that
+// passes a literal EventType.
 #pragma once
 
 #include <cstdint>

@@ -207,7 +207,7 @@ bool parse_csv_file(const std::string& path, std::vector<TraceEvent>* out,
   return parse_csv(is, out, error);
 }
 
-void write_flight_dump(std::ostream& os, const FlightRecorder& fr,
+void write_flight_dump(std::ostream& os, const TraceBuffer& ring,
                        const NodeNameFn& node_name, const std::string& reason) {
   os << "# gfc-flight-v1\n";
   if (!reason.empty()) {
@@ -220,9 +220,10 @@ void write_flight_dump(std::ostream& os, const FlightRecorder& fr,
       pos = nl + 1;
     }
   }
-  os << "# nodes: " << fr.node_count() << " window: " << fr.window()
+  const FlightWindow fw = flight_window(ring);
+  os << "# nodes: " << fw.node_count << " window: " << kFlightWindow
      << " events/node\n";
-  for (const TraceEvent& e : fr.merged_window()) {
+  for (const TraceEvent& e : fw.events) {
     emitf(os, "t_ps=%" PRId64 " node=%d", e.t, e.node);
     os << "(" << display_name(node_name, e.node) << ")";
     emitf(os, " port=%d prio=%d %s id=%" PRIu64 " value=%" PRId64 "\n",
@@ -231,7 +232,7 @@ void write_flight_dump(std::ostream& os, const FlightRecorder& fr,
   }
 }
 
-bool dump_flight(const std::string& path, const FlightRecorder& fr,
+bool dump_flight(const std::string& path, const TraceBuffer& ring,
                  const NodeNameFn& node_name, const std::string& reason,
                  std::string* error) {
   std::ofstream os(path, std::ios::binary);
@@ -239,7 +240,7 @@ bool dump_flight(const std::string& path, const FlightRecorder& fr,
     if (error) *error = "cannot open " + path;
     return false;
   }
-  write_flight_dump(os, fr, node_name, reason);
+  write_flight_dump(os, ring, node_name, reason);
   return static_cast<bool>(os);
 }
 

@@ -44,12 +44,12 @@ bool parse_csv_file(const std::string& path, std::vector<TraceEvent>* out,
                     std::string* error = nullptr);
 
 // --- Flight-recorder dump ---------------------------------------------------
-/// Human-readable post-mortem: one line per retained event, merged across
-/// nodes in time order, preceded by `reason` (e.g. the detector's witness
-/// cycle description).
-void write_flight_dump(std::ostream& os, const FlightRecorder& fr,
+/// Human-readable post-mortem of the ring's flight_window: one line per
+/// event, each node's last kFlightWindow merged in time order, preceded by
+/// `reason` (e.g. the detector's witness cycle description).
+void write_flight_dump(std::ostream& os, const TraceBuffer& ring,
                        const NodeNameFn& node_name, const std::string& reason);
-bool dump_flight(const std::string& path, const FlightRecorder& fr,
+bool dump_flight(const std::string& path, const TraceBuffer& ring,
                  const NodeNameFn& node_name, const std::string& reason,
                  std::string* error = nullptr);
 

@@ -1,5 +1,6 @@
 #include "trace/trace.hpp"
 
+#include <algorithm>
 #include <array>
 
 namespace gfc::trace {
@@ -40,32 +41,30 @@ constexpr std::array<CategoryName, kNumCategories> kCategoryNames = {{
 
 }  // namespace
 
-void Tracer::flush_staged() const {
-  if (!deferred_ || seq_ == flushed_) return;
-  // The staged seqs form exactly the contiguous range [flushed_, seq_):
-  // every record's final ring position is known, so this is a compare-free
-  // scatter — one store per record — rather than a k-way merge.
-  for (auto& st : staged_)
-    for (const StagedEvent& s : st) ring_.scatter(s.seq - flushed_, s.e);
-  ring_.advance(seq_ - flushed_);
-  flushed_ = seq_;
-  for (auto& st : staged_) st.clear();  // keeps the reserve()d capacity
-}
-
-FlightRecorder* Tracer::flight_impl() const {
-  if (!deferred_) return flight_.get();
-  if (flight_window_ == 0) return nullptr;
-  flush_staged();
-  // Rebuild the per-node windows by replaying the retained ring — the
-  // whole flight-recorder cost lands here, at post-mortem/dump time,
-  // instead of on every recorded event.
-  if (!flight_built_ || flight_fed_ != ring_.total_recorded()) {
-    flight_ = std::make_unique<FlightRecorder>(flight_window_);
-    for (std::size_t i = 0; i < ring_.size(); ++i) flight_->observe(ring_[i]);
-    flight_fed_ = ring_.total_recorded();
-    flight_built_ = true;
+FlightWindow flight_window(const TraceBuffer& ring, std::size_t per_node) {
+  // Newest to oldest: an event is in its node's window while fewer than
+  // `per_node` later events of that node have been kept.
+  FlightWindow out;
+  std::vector<std::size_t> kept;  // indexed by node id, lazily grown
+  for (std::size_t k = 1; k <= ring.size(); ++k) {
+    const TraceEvent& e = ring[ring.size() - k];
+    if (e.node < 0) continue;
+    const auto node = static_cast<std::size_t>(e.node);
+    if (node >= kept.size()) kept.resize(node + 1, 0);
+    if (kept[node] >= per_node) continue;
+    ++kept[node];
+    out.events.push_back(e);
   }
-  return flight_.get();
+  out.node_count = static_cast<std::int32_t>(kept.size());
+  // Back to ring order, then a stable (t, node) sort: equal keys belong to
+  // one node and keep their ring order.
+  std::reverse(out.events.begin(), out.events.end());
+  std::stable_sort(out.events.begin(), out.events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     if (a.t != b.t) return a.t < b.t;
+                     return a.node < b.node;
+                   });
+  return out;
 }
 
 const char* type_name(EventType t) {

@@ -1,24 +1,19 @@
-// Binary event tracing: a preallocated ring buffer of fixed-size records
-// plus per-node flight-recorder windows.
+// Binary event tracing: a preallocated ring buffer of fixed-size records.
+// Per-node flight-recorder windows are a query over that ring.
 //
-// Design constraints (this instruments the per-packet hot paths PR 1
-// optimized — see BM_TraceOff/BM_TraceOn in bench/microbench.cpp):
+// Design constraints (this instruments the per-packet hot paths; see
+// BM_TraceOff/BM_TraceOn in bench/microbench.cpp):
 //  * With tracing disabled, every instrumentation site costs exactly one
 //    predictable branch: `Network::trace_event` tests a pointer that is
 //    null unless a Tracer was installed. No arguments are materialized
 //    beyond what the caller already has in registers.
 //  * With tracing enabled, `Tracer::record` is a constexpr-foldable
-//    category-mask test followed by a POD store that never allocates after
-//    construction. No formatting, no strings, no clock reads (the
-//    simulation clock is passed in). Ring capacities round up to powers of
-//    two so indexing is a mask, not a 64-bit modulo.
-//  * Deferred (staged) mode — the default: the hot path appends the record
-//    to a per-category staging buffer and nothing else. Main-ring
-//    overwrite bookkeeping and per-node flight-recorder windows are
-//    updated in batched flushes (when a staging buffer fills, or at
-//    buffer()/flight() access), replaying records in global order — so the
-//    observable ring and flight state is byte-identical to eager mode at
-//    every access, by construction. tests/trace_test.cpp locks this down.
+//    category-mask test followed by one 32-byte store into the ring, which
+//    never allocates after construction. No formatting, no strings, no
+//    clock reads (the simulation clock is passed in). Ring capacities round
+//    up to powers of two so indexing is a mask, not a 64-bit modulo.
+//  * The ring is the only store. Post-mortem views (flight_window, the
+//    exporters) read it after the fact, off the hot path.
 //  * One Tracer per Network/simulation: experiment campaigns run many
 //    sims concurrently, so there is deliberately no global state here.
 #pragma once
@@ -58,8 +53,8 @@ static_assert(sizeof(TraceEvent) == 32, "trace records must stay 32 bytes");
 /// semantics: when full, the oldest record is replaced). Capacity rounds
 /// up to a power of two so the hot-path index is a mask, not a modulo.
 /// The backing store is deliberately left uninitialized: every readable
-/// cell (index < size()) is written by push/scatter first, and skipping
-/// the value-init avoids faulting + zeroing megabytes per Tracer — rings
+/// cell (index < size()) is written by push first, and skipping the
+/// value-init avoids faulting + zeroing megabytes per Tracer — rings
 /// default to 32 MB and campaigns build one per simulation.
 class TraceBuffer {
  public:
@@ -75,17 +70,6 @@ class TraceBuffer {
     ::new (&buf_[static_cast<std::size_t>(total_) & mask_]) TraceEvent(e);
     ++total_;
   }
-
-  /// Batched push, out of order: place `e` at logical position total() + k
-  /// without committing, then advance(n) once all n positions [0, n) have
-  /// been written. Writing the same logical position twice keeps the later
-  /// write; positions that wrap behave exactly as sequential push()es
-  /// would. Used by the Tracer's staging flush, where each record's global
-  /// sequence number is its position — no comparisons, one store each.
-  void scatter(std::uint64_t k, const TraceEvent& e) {
-    ::new (&buf_[static_cast<std::size_t>(total_ + k) & mask_]) TraceEvent(e);
-  }
-  void advance(std::uint64_t n) { total_ += n; }
 
   std::size_t capacity() const { return cap_; }
   /// Events ever pushed (>= size() once the ring has wrapped).
@@ -114,103 +98,46 @@ class TraceBuffer {
   std::uint64_t total_ = 0;
 };
 
-/// Per-node last-N event windows, fed by the Tracer on every recorded
-/// event. On deadlock detection (or any post-mortem) the windows hold the
+/// Events per node in a flight-recorder dump.
+inline constexpr std::size_t kFlightWindow = 256;
+
+/// The flight-recorder view of a ring: each node's last `per_node` retained
+/// events. On deadlock detection (or any post-mortem) it holds the
 /// pre-stall event sequence for each node — the forensic evidence a
 /// verdict-only detector cannot give.
-class FlightRecorder {
- public:
-  explicit FlightRecorder(std::size_t per_node_window)
-      : window_(per_node_window > 0 ? per_node_window : 1) {}
-
-  void observe(const TraceEvent& e);
-
-  std::size_t window() const { return window_; }
-  /// Highest node id seen + 1.
-  std::int32_t node_count() const {
-    return static_cast<std::int32_t>(nodes_.size());
-  }
-  /// Chronological last-N window for `node` (empty if never seen).
-  std::vector<TraceEvent> node_window(std::int32_t node) const;
-  /// All nodes' windows merged, time-ordered (ties keep node order — the
-  /// result is deterministic for deterministic runs).
-  std::vector<TraceEvent> merged_window() const;
-
- private:
-  std::size_t window_;
-  std::vector<TraceBuffer> nodes_;  // indexed by node id, lazily grown
+struct FlightWindow {
+  /// Highest node id in the ring + 1 (node-less events do not count).
+  std::int32_t node_count = 0;
+  /// Ordered by (t, node); equal keys keep ring order, so the view is
+  /// deterministic for deterministic runs. Node-less events are left out.
+  std::vector<TraceEvent> events;
 };
+FlightWindow flight_window(const TraceBuffer& ring,
+                           std::size_t per_node = kFlightWindow);
 
 /// Runtime trace configuration, carried by runner::ScenarioConfig and
 /// populated from the --trace / --trace-categories / --trace-out CLI.
 struct TraceOptions {
   bool enabled = false;
   std::uint32_t categories = kCatAll;
-  /// Main ring capacity in events (32 B each; rounds up to a power of
-  /// two). The ring overwrites, so this bounds memory, not run length.
+  /// Ring capacity in events (32 B each; rounds up to a power of two).
+  /// The ring overwrites, so this bounds memory, not run length.
   std::size_t capacity = 1u << 20;
-  /// Flight-recorder window per node (rounds up to a power of two); 0
-  /// disables the recorder.
-  std::size_t flight_window = 256;
-  /// Deferred (staged) recording — the default. The hot path appends to a
-  /// per-category staging buffer and nothing else; the main ring is filled
-  /// by batched, order-preserving flushes and the flight recorder is
-  /// reconstructed from the ring at access time instead of being fed per
-  /// event. Exports are byte-identical to eager mode (deferred = false);
-  /// flight windows are identical as long as the ring has not overwritten
-  /// (for multi-hour forensic runs where the ring wraps far past the
-  /// windows, eager mode keeps the exact per-node last-N semantics).
-  bool deferred = true;
-  /// Per-category staging capacity in events (40 B each); 0 picks a small
-  /// cache-friendly default. Flushes trigger when a buffer fills, so this
-  /// trades flush frequency against staging locality, never correctness.
-  std::size_t staging_capacity = 0;
 };
-
-/// A trace record parked in a per-category staging buffer, carrying the
-/// global record sequence number that restores total order at flush time.
-struct StagedEvent {
-  TraceEvent e;
-  std::uint64_t seq;
-};
-static_assert(sizeof(StagedEvent) == 40, "staged records must stay 40 bytes");
 
 class Tracer {
  public:
   explicit Tracer(const TraceOptions& opts)
-      : mask_(opts.categories),
-        ring_(opts.capacity),
-        deferred_(opts.deferred),
-        flight_window_(opts.flight_window) {
-    if (flight_window_ > 0 && !deferred_)
-      flight_ = std::make_unique<FlightRecorder>(flight_window_);
-    if (deferred_) {
-      // Small buffers flush often but stay cache-resident; the default
-      // keeps the whole staging working set around 640 KB. The clamp to
-      // capacity/8 bounds any flush batch to the ring capacity, which the
-      // scatter-based flush requires (see TraceBuffer::scatter).
-      staging_cap_ = opts.staging_capacity != 0 ? opts.staging_capacity
-                                                : std::size_t{2048};
-      staging_cap_ = std::max<std::size_t>(
-          1, std::min(staging_cap_, ring_.capacity() / kNumCategories));
-      for (auto& st : staged_) st.reserve(staging_cap_);
-    }
-  }
+      : mask_(opts.categories), ring_(opts.capacity) {}
 
-  std::uint32_t mask() const { return mask_; }
-  void set_mask(std::uint32_t m) { mask_ = m; }
   bool enabled(Category c) const { return (mask_ & c) != 0; }
-  bool deferred() const { return deferred_; }
 
   /// Hot-path record. The mask test folds to a compile-time-known bit for
   /// literal `type` arguments; a masked-off category costs the test only.
-  /// Deferred mode: one append into the category's staging buffer (no ring
-  /// bookkeeping, no flight-recorder update — those happen at flush).
   void record(EventType type, sim::TimePs t, std::int32_t node,
               std::int32_t port, std::int32_t prio, std::uint64_t id,
               std::int64_t value) {
-    const Category cat = category_of(type);
-    if ((mask_ & cat) == 0) return;
+    if ((mask_ & category_of(type)) == 0) return;
     TraceEvent e;
     e.t = t;
     e.value = value;
@@ -219,53 +146,14 @@ class Tracer {
     e.port = static_cast<std::int16_t>(port);
     e.prio = static_cast<std::int8_t>(prio);
     e.type = static_cast<std::uint8_t>(type);
-    if (!deferred_) {
-      ring_.push(e);
-      if (flight_) flight_->observe(e);
-      return;
-    }
-    auto& st = staged_[category_index(cat)];
-    st.push_back(StagedEvent{e, seq_++});  // within reserve: no allocation
-    if (st.size() == staging_cap_) flush_staged();
+    ring_.push(e);
   }
 
-  /// Drain every staging buffer into the ring in global record order
-  /// (each buffer is seq-ascending; k-way merge). No-op in eager mode or
-  /// when nothing is staged.
-  void flush_staged() const;
-
-  /// The main ring, with any staged records flushed in first.
-  const TraceBuffer& buffer() const {
-    flush_staged();
-    return ring_;
-  }
-  /// The flight recorder (null when flight_window was 0). Deferred mode
-  /// rebuilds the per-node windows from the ring here — at post-mortem
-  /// time — instead of observing every record on the hot path.
-  FlightRecorder* flight() { return flight_impl(); }
-  const FlightRecorder* flight() const { return flight_impl(); }
+  const TraceBuffer& buffer() const { return ring_; }
 
  private:
-  static int category_index(Category c) {
-    return std::countr_zero(static_cast<std::uint32_t>(c));
-  }
-
-  FlightRecorder* flight_impl() const;
-
   std::uint32_t mask_;
-  // Flush targets are updated from const accessors (buffer() on a const
-  // Tracer must still see staged records), hence mutable.
-  mutable TraceBuffer ring_;
-  mutable std::unique_ptr<FlightRecorder> flight_;
-  bool deferred_ = false;
-  std::size_t flight_window_ = 0;
-  std::size_t staging_cap_ = 0;
-  std::uint64_t seq_ = 0;  // global record sequence (deferred mode)
-  mutable std::uint64_t flushed_ = 0;  // first seq not yet flushed
-  // Ring total the deferred flight rebuild last ran at (stale detector).
-  mutable std::uint64_t flight_fed_ = 0;
-  mutable bool flight_built_ = false;
-  mutable std::vector<StagedEvent> staged_[kNumCategories];
+  TraceBuffer ring_;
 };
 
 /// Parse "pfc,port,sched" (or "all") into a category mask; unknown names

@@ -96,27 +96,40 @@ TEST(Categories, EveryTypeNameRoundTrips) {
   EXPECT_FALSE(type_from_name("not_a_type", &unused));
 }
 
-TEST(FlightRecorder, KeepsLastNPerNodeAndMergesInTimeOrder) {
-  FlightRecorder fr(3);
+TEST(FlightWindow, KeepsLastNPerNodeAndMergesInTimeOrder) {
+  TraceBuffer ring(16);
   for (int i = 0; i < 8; ++i)
-    fr.observe(ev(sim::us(i), EventType::kPortEnqueue, /*node=*/0, 0, i));
-  fr.observe(ev(sim::us(2), EventType::kPauseRx, /*node=*/2, 1, 99));
-  EXPECT_EQ(fr.node_count(), 3);
-  const auto w0 = fr.node_window(0);
-  ASSERT_EQ(w0.size(), 3u);  // last 3 of the 8
-  EXPECT_EQ(w0.front().value, 5);
-  EXPECT_EQ(w0.back().value, 7);
-  EXPECT_TRUE(fr.node_window(1).empty());
-  const auto merged = fr.merged_window();
-  ASSERT_EQ(merged.size(), 4u);
-  for (std::size_t i = 1; i < merged.size(); ++i)
-    EXPECT_LE(merged[i - 1].t, merged[i].t);
-  // Negative node ids (node-less events) are ignored, not misfiled.
-  fr.observe(ev(sim::us(9), EventType::kDrop, -1));
-  EXPECT_EQ(fr.merged_window().size(), 4u);
+    ring.push(ev(sim::us(i), EventType::kPortEnqueue, /*node=*/0, 0, i));
+  ring.push(ev(sim::us(2), EventType::kPauseRx, /*node=*/2, 1, 99));
+  // Node-less events are neither windowed nor counted as a node.
+  ring.push(ev(sim::us(9), EventType::kDrop, -1));
+  const FlightWindow fw = flight_window(ring, 3);
+  EXPECT_EQ(fw.node_count, 3);
+  // Node 0's last 3 of 8, node 2's one event, none for node 1.
+  ASSERT_EQ(fw.events.size(), 4u);
+  EXPECT_EQ(fw.events[0].value, 99);
+  EXPECT_EQ(fw.events[1].value, 5);
+  EXPECT_EQ(fw.events[2].value, 6);
+  EXPECT_EQ(fw.events[3].value, 7);
+  for (std::size_t i = 1; i < fw.events.size(); ++i)
+    EXPECT_LE(fw.events[i - 1].t, fw.events[i].t);
 }
 
-// --- end-to-end: a traced 2-switch ring --------------------------------------
+TEST(FlightWindow, EqualTimesOrderByNodeThenRingOrder) {
+  TraceBuffer ring(8);
+  ring.push(ev(sim::us(1), EventType::kPauseTx, /*node=*/1, 0, 10));
+  ring.push(ev(sim::us(1), EventType::kPauseRx, /*node=*/0, 0, 20));
+  ring.push(ev(sim::us(1), EventType::kResumeTx, /*node=*/1, 0, 30));
+  ring.push(ev(sim::us(1), EventType::kResumeRx, /*node=*/0, 0, 40));
+  const FlightWindow fw = flight_window(ring);
+  ASSERT_EQ(fw.events.size(), 4u);
+  EXPECT_EQ(fw.events[0].value, 20);
+  EXPECT_EQ(fw.events[1].value, 40);
+  EXPECT_EQ(fw.events[2].value, 10);
+  EXPECT_EQ(fw.events[3].value, 30);
+}
+
+// --- end-to-end: a traced 3-switch ring --------------------------------------
 
 runner::RingScenario traced_ring(std::uint32_t categories = kCatAll) {
   runner::ScenarioConfig cfg;
@@ -125,7 +138,7 @@ runner::RingScenario traced_ring(std::uint32_t categories = kCatAll) {
                                    cfg.tau());
   cfg.trace.enabled = true;
   cfg.trace.categories = categories;
-  return runner::make_ring(cfg, 2, 1);
+  return runner::make_ring(cfg, 3, 1);
 }
 
 TEST(TraceRoundTrip, CsvReimportsExactly) {
@@ -225,118 +238,6 @@ TEST(TraceRoundTrip, CampaignTraceHashesIndependentOfJobs) {
   EXPECT_EQ(r1.json(), r4.json());
 }
 
-// --- deferred (staged) recording vs eager ------------------------------------
-
-// The deferred hot path (stage + batched scatter flush) must be
-// observably indistinguishable from eager recording: same retained ring,
-// byte-identical exports.
-TEST(TraceDeferred, ExportsByteIdenticalToEager) {
-  std::string json[2], csv[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    runner::ScenarioConfig cfg;
-    cfg.fc = runner::FcSetup::derive(runner::FcKind::kGfcBuffer,
-                                     cfg.switch_buffer, cfg.link.rate,
-                                     cfg.tau());
-    cfg.trace.enabled = true;
-    cfg.trace.deferred = mode == 0;
-    // A small staging buffer forces many mid-run flushes, including
-    // partially-filled buffers at export time.
-    cfg.trace.staging_capacity = 64;
-    runner::RingScenario s = runner::make_ring(cfg, 2, 1);
-    s.fabric->net().run_until(sim::ms(1));
-    std::stringstream j, c;
-    write_chrome_json(j, s.fabric->net().tracer()->buffer(),
-                      s.fabric->node_name_fn());
-    write_csv(c, s.fabric->net().tracer()->buffer());
-    json[static_cast<std::size_t>(mode)] = j.str();
-    csv[static_cast<std::size_t>(mode)] = c.str();
-  }
-  EXPECT_GT(json[0].size(), 0u);
-  EXPECT_EQ(json[0], json[1]);
-  EXPECT_EQ(csv[0], csv[1]);
-}
-
-// Ring-wrap equivalence: with a ring far smaller than the event volume,
-// the deferred scatter flush must retain exactly the events eager
-// overwrite semantics would.
-TEST(TraceDeferred, WrappedRingMatchesEager) {
-  std::string csv[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    runner::ScenarioConfig cfg;
-    cfg.fc = runner::FcSetup::derive(runner::FcKind::kGfcBuffer,
-                                     cfg.switch_buffer, cfg.link.rate,
-                                     cfg.tau());
-    cfg.trace.enabled = true;
-    cfg.trace.deferred = mode == 0;
-    cfg.trace.capacity = 256;  // tiny: wraps thousands of times
-    runner::RingScenario s = runner::make_ring(cfg, 2, 1);
-    s.fabric->net().run_until(sim::ms(1));
-    const TraceBuffer& buf = s.fabric->net().tracer()->buffer();
-    EXPECT_GT(buf.dropped(), 0u);
-    std::stringstream c;
-    write_csv(c, buf);
-    csv[static_cast<std::size_t>(mode)] = c.str();
-  }
-  EXPECT_EQ(csv[0], csv[1]);
-}
-
-// Flight windows rebuilt from the ring at access time must match the
-// per-event windows eager mode maintains (identical while the ring has
-// not overwritten past the windows).
-TEST(TraceDeferred, FlightWindowsMatchEager) {
-  std::vector<std::string> dumps;
-  for (int mode = 0; mode < 2; ++mode) {
-    runner::ScenarioConfig cfg;
-    cfg.fc = runner::FcSetup::derive(runner::FcKind::kGfcBuffer,
-                                     cfg.switch_buffer, cfg.link.rate,
-                                     cfg.tau());
-    cfg.trace.enabled = true;
-    cfg.trace.deferred = mode == 0;
-    runner::RingScenario s = runner::make_ring(cfg, 2, 1);
-    s.fabric->net().run_until(sim::ms(1));
-    std::stringstream ss;
-    write_flight_dump(ss, *s.fabric->net().tracer()->flight(),
-                      s.fabric->node_name_fn(), "mode check");
-    dumps.push_back(ss.str());
-  }
-  EXPECT_GT(dumps[0].size(), 0u);
-  EXPECT_EQ(dumps[0], dumps[1]);
-}
-
-// Unit-level: buffer()/flight() access mid-batch (staging buffers only
-// partially filled) sees every staged record, in global record order even
-// when categories interleave; later access after more records picks up
-// the new tail (the rebuild cache must notice staleness).
-TEST(TraceDeferred, MidBatchAccessSeesStagedRecordsInOrder) {
-  TraceOptions opts;
-  opts.enabled = true;
-  opts.capacity = 64;
-  opts.staging_capacity = 16;  // none of these appends reaches a flush
-  Tracer tr(opts);
-  ASSERT_TRUE(tr.deferred());
-  // Interleave three categories so per-category staging must re-merge.
-  tr.record(EventType::kPauseTx, sim::us(1), 0, 0, 0, 1, 10);      // pfc
-  tr.record(EventType::kPortEnqueue, sim::us(2), 1, 0, 0, 2, 20);  // port
-  tr.record(EventType::kCreditRx, sim::us(3), 0, 1, 0, 3, 30);     // credit
-  tr.record(EventType::kPauseRx, sim::us(4), 1, 1, 0, 4, 40);      // pfc
-  const TraceBuffer& buf = tr.buffer();
-  ASSERT_EQ(buf.size(), 4u);
-  EXPECT_EQ(buf[0].event_type(), EventType::kPauseTx);
-  EXPECT_EQ(buf[1].event_type(), EventType::kPortEnqueue);
-  EXPECT_EQ(buf[2].event_type(), EventType::kCreditRx);
-  EXPECT_EQ(buf[3].event_type(), EventType::kPauseRx);
-
-  const FlightRecorder* fl = tr.flight();
-  ASSERT_NE(fl, nullptr);
-  ASSERT_EQ(fl->node_window(0).size(), 2u);
-  EXPECT_EQ(fl->node_window(0)[1].value, 30);
-
-  // New records after a flight rebuild must invalidate the cached windows.
-  tr.record(EventType::kDrop, sim::us(5), 0, 0, 0, 5, 50);
-  ASSERT_EQ(tr.flight()->node_window(0).size(), 3u);
-  EXPECT_EQ(tr.flight()->node_window(0)[2].value, 50);
-}
-
 // --- flight recorder on the deadlocking PFC ring -----------------------------
 
 TEST(FlightDump, ContainsPauseWitnessOnPfcRingDeadlock) {
@@ -351,7 +252,7 @@ TEST(FlightDump, ContainsPauseWitnessOnPfcRingDeadlock) {
   stats::DeadlockOptions dl;
   dl.on_detect = [&](const stats::DeadlockDetector& det) {
     std::stringstream ss;
-    write_flight_dump(ss, *net.tracer()->flight(), s.fabric->node_name_fn(),
+    write_flight_dump(ss, net.tracer()->buffer(), s.fabric->node_name_fn(),
                       "witness cycle: " +
                           runner::describe_cycle(det, net));
     dump = ss.str();
@@ -363,6 +264,7 @@ TEST(FlightDump, ContainsPauseWitnessOnPfcRingDeadlock) {
   ASSERT_FALSE(dump.empty());
   EXPECT_NE(dump.find("# gfc-flight-v1"), std::string::npos);
   EXPECT_NE(dump.find("witness cycle: "), std::string::npos);
+  EXPECT_NE(dump.find(" window: 256 events/node\n"), std::string::npos);
   // The pre-stall window of every node in the witness cycle holds the PFC
   // PAUSE traffic that froze it — the evidence the dump exists to provide.
   EXPECT_NE(dump.find("pause_tx"), std::string::npos);
