@@ -1,11 +1,15 @@
 // The trace subsystem (src/trace/): ring-buffer semantics, category
-// gating, name round-trips, exporter determinism, CSV re-import, and the
-// flight-recorder deadlock post-mortem on the paper's PFC ring.
+// gating, name round-trips, exporter determinism, CSV re-import, a golden
+// all-category trace of host NIC queues, and the flight-recorder deadlock
+// post-mortem on the paper's PFC ring.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <sstream>
 
+#include "cc/dcqcn.hpp"
 #include "exp/cli.hpp"
 #include "exp/results.hpp"
 #include "exp/worker_pool.hpp"
@@ -236,6 +240,57 @@ TEST(TraceRoundTrip, CampaignTraceHashesIndependentOfJobs) {
   const exp::CampaignResult r1 = run_campaign_hashed(1);
   const exp::CampaignResult r4 = run_campaign_hashed(4);
   EXPECT_EQ(r1.json(), r4.json());
+}
+
+// --- golden: host NIC queues under CBFC + DCQCN ------------------------------
+// All categories of a 2-to-1 CBFC incast for 300 us, with ECN marking at
+// 10 KB, Figure 20's DCQCN settings and a second, priority-3 flow from
+// sender 0. Sender 0 queues at priorities 0 and 3 and the receiver injects
+// CNPs at priority 6, so the CSV pins how a host NIC orders, gates and
+// reports its queues. Regenerate only for a deliberate simulation change:
+//   GFC_REGEN_GOLDEN=1 build/tests/gfc_tests --gtest_filter=TraceGolden.*
+
+std::string incast_cbfc_dcqcn_csv() {
+  runner::ScenarioConfig cfg;
+  cfg.fc = runner::FcSetup::derive(runner::FcKind::kCbfc, cfg.switch_buffer,
+                                   cfg.link.rate, cfg.tau());
+  cfg.ecn.enabled = true;
+  cfg.ecn.kmin = 10'000;
+  cfg.ecn.kmax = 10'000;
+  cfg.trace.enabled = true;
+  runner::IncastScenario s = runner::make_incast(cfg, 2);
+  net::Network& net = s.fabric->net();
+  cc::DcqcnConfig dc;
+  dc.alpha_init = 0.5;
+  dc.g = 1.0 / 256;
+  dc.cnp_interval = sim::us(50);
+  dc.alpha_timer = sim::us(55);
+  dc.increase_timer = sim::us(55);
+  auto dcqcn = std::make_unique<cc::DcqcnModule>(net, dc);
+  cc::DcqcnModule* cc_mod = dcqcn.get();
+  net.set_cc(std::move(dcqcn));
+  for (net::FlowId f : s.flows) cc_mod->on_flow_start(net.flow(f));
+  net.create_flow(s.info.senders[0], s.info.receiver, 3, net::Flow::kUnbounded,
+                  0);
+  net.run_until(sim::us(300));
+  std::stringstream ss;
+  write_csv(ss, net.tracer()->buffer());
+  return ss.str();
+}
+
+TEST(TraceGolden, IncastCbfcDcqcnHostQueues) {
+  const std::string path =
+      GFC_TEST_DATA_DIR "/golden/incast2_cbfc_dcqcn_trace.csv";
+  const std::string csv = incast_cbfc_dcqcn_csv();
+  if (std::getenv("GFC_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << csv;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream f(path, std::ios::binary);
+  ASSERT_TRUE(f.is_open()) << "missing " << path;
+  std::ostringstream golden;
+  golden << f.rdbuf();
+  EXPECT_TRUE(csv == golden.str()) << "trace differs from " << path;
 }
 
 // --- flight recorder on the deadlocking PFC ring -----------------------------
