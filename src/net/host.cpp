@@ -1,6 +1,7 @@
 #include "net/host.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "net/network.hpp"
@@ -59,7 +60,48 @@ void HostNode::stage_next(std::size_t idx) {
   pkt->created_at = sched_ref().now();
   flow.bytes_enqueued += len;
   sf.staged = true;
-  port(uplink_port()).enqueue(pkt);
+  enqueue(pkt);
+}
+
+void HostNode::enqueue(Packet* pkt) {
+  assert(!pkt->is_control());
+  auto& q = nic_[static_cast<std::size_t>(pkt->priority)];
+  if (q == nullptr) q = std::make_unique<NicQueue>();
+  q->fifo.push_back(pkt);
+  q->bytes += pkt->size_bytes;
+  nonempty_prios_ |= 1u << pkt->priority;
+  network().trace_event(trace::EventType::kPortEnqueue, id(), uplink_port(),
+                        pkt->priority, pkt->id, q->bytes);
+  port(uplink_port()).kick();
+}
+
+Packet* HostNode::poll_data(int egress_port, sim::TimePs now,
+                            sim::TimePs* wake_at, bool consume,
+                            bool* any_waiting) {
+  if (egress_port != uplink_port()) return nullptr;
+  TxGate& gate = port(egress_port).gate();
+  // Round-robin over priorities (no head-of-line blocking across classes).
+  // Rotate the nonempty mask so bit k stands for priority (rr_prio_ + k);
+  // walking its set bits visits exactly the prios a full scan would.
+  std::uint32_t rot = ((nonempty_prios_ >> rr_prio_) |
+                       (nonempty_prios_ << (kNumPriorities - rr_prio_))) &
+                      ((1u << kNumPriorities) - 1);
+  while (rot != 0) {
+    const int step = std::countr_zero(rot);
+    rot &= rot - 1;
+    const int prio = (rr_prio_ + step) % kNumPriorities;
+    NicQueue& q = *nic_[static_cast<std::size_t>(prio)];
+    Packet* pkt = q.fifo.front();
+    *any_waiting = true;
+    if (!gate.allowed(*pkt, now, wake_at)) continue;
+    if (!consume) return pkt;
+    q.fifo.pop_front();
+    q.bytes -= pkt->size_bytes;
+    if (q.fifo.empty()) nonempty_prios_ &= ~(1u << prio);
+    rr_prio_ = (prio + 1) % kNumPriorities;
+    return pkt;
+  }
+  return nullptr;
 }
 
 void HostNode::on_departure(Packet& pkt, int /*out_port*/) {
@@ -105,7 +147,7 @@ void HostNode::notify_rate_change(FlowId id) {
   stage_next(idx);
 }
 
-void HostNode::inject(Packet* pkt) { port(uplink_port()).enqueue(pkt); }
+void HostNode::inject(Packet* pkt) { enqueue(pkt); }
 
 void HostNode::receive(Packet* pkt, int in_port) {
   if (pkt->is_control()) {

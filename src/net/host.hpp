@@ -3,10 +3,15 @@
 // Sending keeps at most one packet per active flow staged in the NIC egress
 // queue; the next packet is staged when the previous one departs (plus any
 // pacing delay demanded by the flow's send_rate — the DCQCN knob). The NIC
-// egress port itself is gated by the link-level flow control exactly like a
-// switch port, so PFC can pause a host and GFC can rate it.
+// queue is one FIFO per priority, served round-robin over priorities, and
+// the uplink port pulls from it through poll_data, gated by the link-level
+// flow control exactly like a switch port, so PFC can pause a host and GFC
+// can rate it.
 #pragma once
 
+#include <array>
+#include <deque>
+#include <memory>
 #include <vector>
 
 #include "net/flow.hpp"
@@ -21,6 +26,8 @@ class HostNode final : public Node {
   bool is_switch() const override { return false; }
   void receive(Packet* pkt, int in_port) override;
   void on_departure(Packet& pkt, int out_port) override;
+  Packet* poll_data(int egress_port, sim::TimePs now, sim::TimePs* wake_at,
+                    bool consume, bool* any_waiting) override;
 
   /// Begin transmitting a registered flow (source must be this host).
   void start_flow(FlowId id);
@@ -46,11 +53,26 @@ class HostNode final : public Node {
     sim::EventId timer{};     // pending pacing timer
   };
 
+  /// Per-priority NIC FIFO; `bytes` is its queued total.
+  struct NicQueue {
+    std::deque<Packet*> fifo;
+    std::int64_t bytes = 0;
+  };
+
+  /// Queue a data packet (or CNP) in the NIC and kick the uplink.
+  void enqueue(Packet* pkt);
   void stage_next(std::size_t idx);
   SenderFlow* find_sender(FlowId id, std::size_t* idx = nullptr);
   void drop_sender(std::size_t idx);
 
   std::vector<SenderFlow> sending_;
+  // Created on first use: most hosts send on one or two priorities, and an
+  // eagerly built deque allocates even while empty.
+  std::array<std::unique_ptr<NicQueue>, kNumPriorities> nic_;
+  int rr_prio_ = 0;  // round-robin pointer over priorities
+  // Bit p set iff nic_[p] holds packets; the scan walks set bits only, in
+  // rr order.
+  std::uint32_t nonempty_prios_ = 0;
   std::int64_t mtu_ = 1500;
 };
 

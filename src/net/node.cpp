@@ -23,10 +23,6 @@ void Node::set_fc(std::unique_ptr<FcModule> fc) {
 
 void Node::on_departure(Packet&, int) {}
 
-Packet* Node::poll_data(int, sim::TimePs, sim::TimePs*, bool, bool*) {
-  return nullptr;
-}
-
 Packet* Node::make_control(PacketType type) {
   assert(is_link_control(type));
   Packet* pkt = net_.pool().acquire();

@@ -28,18 +28,15 @@ class Node {
   /// hand-off, at the transmission-complete instant).
   virtual void on_departure(Packet& pkt, int out_port);
 
-  /// Pull-mode data source (input-queued switches): hand the egress port
-  /// its next transmittable packet, honoring head-of-line order within each
-  /// ingress queue and the port's gate. With consume == false this is a
-  /// dry-run probe. *any_waiting reports whether any head targets this
-  /// egress at all; *wake_at is lowered to the earliest gate wake time.
-  /// Hosts (queue-mode) return nullptr and keep data in the port itself.
+  /// Data source for egress port `egress_port`: hand it the next packet
+  /// its gate lets through, in the node's own service order (round-robin
+  /// over priorities; switches add their queueing discipline). With
+  /// consume == false this is a dry-run probe that removes nothing.
+  /// *any_waiting is set when some queue's next-up packet waits for this
+  /// egress; *wake_at is lowered to the earliest gate wake time.
   virtual Packet* poll_data(int egress_port, sim::TimePs now,
                             sim::TimePs* wake_at, bool consume,
-                            bool* any_waiting);
-
-  /// True when poll_data drives this node's egress ports.
-  virtual bool pull_mode() const { return is_switch(); }
+                            bool* any_waiting) = 0;
 
   virtual bool is_switch() const = 0;
 

@@ -1,22 +1,16 @@
-// Egress port: per-priority data queues, a control-frame bypass queue, and
-// a transmit state machine gated by the attached flow-control mechanism.
-//
-// Within a priority, packets are kept in per-ingress-source buckets served
-// round-robin (the per-source fairness a shared-buffer switch's egress
-// arbiter provides). Without it, egress bandwidth splits proportionally to
-// arrival rate and transit queues balloon ahead of source queues, which is
-// neither how real fabrics behave nor how the paper's queues evolve.
+// Egress port: a control-frame bypass queue and a transmit state machine
+// gated by the attached flow-control mechanism. Data packets stay in the
+// owning node's queues; the port pulls the next one through
+// Node::poll_data when it can transmit.
 //
 // Control frames bypass data queues and are never paused/rate limited, but
 // they cannot preempt an in-flight data packet — this produces the MTU/C
 // components of the paper's feedback latency tau (Eq. 6).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/scheduler.hpp"
@@ -59,20 +53,18 @@ class EgressPort {
   bool connected() const { return channel_ != nullptr; }
   Channel* channel() { return channel_; }
 
-  /// Link state (runtime failures). A downed port keeps its queues but
-  /// starts no transmissions; its outgoing channel mirrors the state so
-  /// in-flight packets are lost. Callers kick() after bringing it back up.
+  /// Link state (runtime failures). A downed port starts no transmissions
+  /// (queued data waits in the owner); its outgoing channel mirrors the
+  /// state so in-flight packets are lost. Callers kick() after bringing it
+  /// back up.
   void set_link_up(bool up);
   bool link_up() const { return link_up_; }
-
-  /// Queue a data packet (or routed CNP) for transmission. The packet's
-  /// current ingress_port keys the fairness bucket.
-  void enqueue(Packet* pkt);
 
   /// Queue a link-control frame (bypass lane).
   void enqueue_control(Packet* pkt);
 
-  /// Re-evaluate transmission; called by gates when they open.
+  /// Re-evaluate transmission; called by gates when they open and by the
+  /// owner when it queues data for this port.
   void kick();
 
   void set_gate(std::unique_ptr<TxGate> gate);
@@ -82,48 +74,16 @@ class EgressPort {
   int index() const { return index_; }
   sim::Rate line_rate() const { return rate_; }
   Node& owner() { return owner_; }
-  bool busy() const { return in_flight_ != nullptr; }
-  std::int64_t queued_bytes(int prio) const {
-    return data_[static_cast<std::size_t>(prio)].bytes;
-  }
-  std::int64_t queued_bytes_total() const;
-  std::size_t queued_packets() const;
-  std::uint64_t tx_data_bytes() const { return tx_data_bytes_; }
   std::uint64_t tx_control_bytes() const { return tx_control_bytes_; }
   std::uint64_t tx_control_frames() const { return tx_control_frames_; }
 
-  /// Deadlock probe: true iff the port holds data, is idle, and every
-  /// priority's next-up packet is blocked by the gate with no scheduled
-  /// wake — i.e. the port is in the paper's hold-and-wait state.
+  /// Deadlock probe: true iff the owner holds data for this port, the port
+  /// is idle, and every priority's next-up packet is blocked by the gate
+  /// with no scheduled wake — i.e. the port is in the paper's hold-and-wait
+  /// state.
   bool probe_hold_and_wait(sim::TimePs now);
 
-  /// Visit every queued data packet (deadlock analysis).
-  template <typename Fn>
-  void for_each_queued(Fn&& fn) const {
-    for (const auto& pq : data_)
-      for (const auto& bucket : pq.buckets)
-        for (const Packet* p : bucket.q) fn(*p);
-    if (in_flight_ != nullptr && !in_flight_->is_control()) fn(*in_flight_);
-  }
-
  private:
-  /// Per-ingress-source FIFO inside one priority class.
-  struct Bucket {
-    std::int32_t key;
-    std::deque<Packet*> q;
-  };
-  struct PrioQueue {
-    std::vector<Bucket> buckets;
-    std::size_t rr = 0;  // bucket round-robin cursor
-    std::int64_t bytes = 0;
-    std::size_t packets = 0;
-
-    bool empty() const { return packets == 0; }
-    /// The packet the round-robin arbiter would serve next (nullptr when
-    /// empty); *bucket_out reports which bucket it sits in.
-    Packet* next_up(std::size_t* bucket_out);
-  };
-
   void try_transmit();
   void start_tx(Packet* pkt, bool control);
   void complete_tx();
@@ -143,11 +103,6 @@ class EgressPort {
   Channel* channel_ = nullptr;
 
   std::deque<Packet*> control_q_;
-  std::array<PrioQueue, kNumPriorities> data_;
-  int rr_prio_ = 0;  // round-robin pointer over priorities
-  // Bit p set iff data_[p] holds packets; the transmit scan walks set bits
-  // only (in the same rr order) instead of touching all eight PrioQueues.
-  std::uint32_t nonempty_prios_ = 0;
 
   std::unique_ptr<TxGate> gate_;
   bool link_up_ = true;
@@ -157,7 +112,6 @@ class EgressPort {
   sim::TimePs wake_at_ = sim::kTimeNever;  // instant wake_event_ fires at
   sim::TimerId tx_done_timer_{};           // registered complete_tx drain timer
 
-  std::uint64_t tx_data_bytes_ = 0;
   std::uint64_t tx_control_bytes_ = 0;
   std::uint64_t tx_control_frames_ = 0;
 };

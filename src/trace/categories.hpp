@@ -29,14 +29,15 @@ inline constexpr int kNumCategories = 10;
 
 enum class EventType : std::uint8_t {
   // kCatPort
-  kPortEnqueue = 0,  // data packet queued at an egress port (hosts)
+  kPortEnqueue = 0,  // data packet queued in a host NIC (value = bytes
+                     // now queued at that priority)
   kTxStart,          // data packet started transmitting
   kIngressEnqueue,   // switch ingress accounting charged (value = bytes now)
   kIngressDequeue,   // switch ingress accounting released (value = bytes now)
   kDrop,             // packet discarded (unroutable / failover / recovery)
   // kCatLink
-  kLinkDown,
-  kLinkUp,
+  kLinkDown,  // egress port's link went down (value = 0)
+  kLinkUp,    // egress port's link came back (value = 0)
   kWireLost,  // in flight when the link went down
   // kCatPfc
   kPauseTx,
