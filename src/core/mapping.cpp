@@ -1,13 +1,18 @@
 #include "core/mapping.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace gfc::core {
 
 LinearMapping::LinearMapping(sim::Rate line_rate, std::int64_t b0,
                              std::int64_t bm, sim::Rate min_rate)
     : line_rate_(line_rate), b0_(b0), bm_(bm), min_rate_(min_rate) {
-  assert(0 <= b0 && b0 < bm);
+  if (b0 < 0 || b0 >= bm)
+    throw std::invalid_argument("LinearMapping: B_0 = " + std::to_string(b0) +
+                                " must satisfy 0 <= B_0 < B_m = " +
+                                std::to_string(bm));
 }
 
 sim::Rate LinearMapping::rate_for(std::int64_t q) const {
@@ -21,7 +26,10 @@ sim::Rate LinearMapping::rate_for(std::int64_t q) const {
 MultiStageMapping::MultiStageMapping(sim::Rate line_rate, std::int64_t b1,
                                      std::int64_t bm, sim::Rate min_rate)
     : line_rate_(line_rate), bm_(bm), min_rate_(min_rate) {
-  assert(0 < b1 && b1 < bm);
+  if (b1 <= 0 || b1 >= bm)
+    throw std::invalid_argument(
+        "MultiStageMapping: B_1 = " + std::to_string(b1) +
+        " must satisfy 0 < B_1 < B_m = " + std::to_string(bm));
   // B_m - B_k = (B_m - B_1) / 2^(k-1)  (Eq. 5)
   std::int64_t gap = bm - b1;  // B_m - B_k for the stage being emitted
   sim::Rate rate = line_rate / 2.0;  // R_1

@@ -21,6 +21,7 @@ inline constexpr sim::Rate kDefaultMinRate{8'000};
 class LinearMapping {
  public:
   LinearMapping() = default;
+  /// Throws std::invalid_argument unless 0 <= b0 < bm.
   LinearMapping(sim::Rate line_rate, std::int64_t b0, std::int64_t bm,
                 sim::Rate min_rate = kDefaultMinRate);
 
@@ -43,7 +44,7 @@ class MultiStageMapping {
  public:
   MultiStageMapping() = default;
   /// `b1` is the first threshold (paper sets B_1 directly; stage 0 below it
-  /// maps to line rate). Requires 0 < b1 < bm.
+  /// maps to line rate). Throws std::invalid_argument unless 0 < b1 < bm.
   MultiStageMapping(sim::Rate line_rate, std::int64_t b1, std::int64_t bm,
                     sim::Rate min_rate = kDefaultMinRate);
 

@@ -2,6 +2,8 @@
 // bounds (Theorems 4.1/5.1, Eq. 6), and the Rate Limiter register model.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/gfc_buffer.hpp"
 #include "core/mapping.hpp"
 #include "core/params.hpp"
@@ -33,6 +35,35 @@ TEST(LinearMapping, FloorAtBm) {
   EXPECT_EQ(m.rate_for(100'000), kDefaultMinRate);
   EXPECT_EQ(m.rate_for(10'000'000), kDefaultMinRate);
   EXPECT_GT(m.rate_for(99'999).bps, 0);
+}
+
+TEST(LinearMapping, RejectsB0OutsideZeroToBm) {
+  EXPECT_THROW(LinearMapping(gbps(10), -1, 100'000), std::invalid_argument);
+  EXPECT_THROW(LinearMapping(gbps(10), 100'000, 100'000),
+               std::invalid_argument);
+  EXPECT_NO_THROW(LinearMapping(gbps(10), 0, 100'000));
+  try {
+    LinearMapping(gbps(10), -4'200, 94'000);
+    FAIL() << "negative B_0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "LinearMapping: B_0 = -4200 must satisfy 0 <= B_0 < B_m = "
+                 "94000");
+  }
+}
+
+TEST(MultiStageMapping, RejectsB1OutsideZeroToBm) {
+  EXPECT_THROW(MultiStageMapping(gbps(10), 0, 300'000), std::invalid_argument);
+  EXPECT_THROW(MultiStageMapping(gbps(10), 300'000, 300'000),
+               std::invalid_argument);
+  try {
+    MultiStageMapping(gbps(10), -7, 300'000);
+    FAIL() << "negative B_1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "MultiStageMapping: B_1 = -7 must satisfy 0 < B_1 < B_m = "
+                 "300000");
+  }
 }
 
 TEST(MultiStageMapping, StageRatesHalve) {

@@ -3,9 +3,14 @@
 // the Theorem 4.1 / 5.1 / B_1 bounds (Sec 5.4).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/params.hpp"
 #include "net/packet.hpp"
 #include "runner/config.hpp"
+#include "runner/fabric.hpp"
+#include "topo/builders.hpp"
 
 namespace gfc::runner {
 namespace {
@@ -109,6 +114,34 @@ TEST(FcSetupDerive, GfcConceptualSatisfiesTheorem41) {
   EXPECT_GT(fc.b0, 0);
   // Theorem 4.1: B_0 <= B_m - 4*C*tau.
   EXPECT_LE(fc.b0, core::b0_bound_conceptual(fc.bm, s.c, s.tau));
+}
+
+TEST(FcSetupDerive, FabricRejectsGfcTimeSetupWithNegativeB0) {
+  // At 100 KB no B_0 >= 0 meets Theorem 5.1, and derive_fc's setup carries
+  // a negative one. Building a fabric from it must fail in every build
+  // type, not simulate a mapping outside its domain.
+  ScenarioConfig cfg;
+  cfg.switch_buffer = 100'000;
+  const auto [setup, feasible] =
+      detail::derive_fc(FcKind::kGfcTime, cfg.switch_buffer, cfg.link.rate,
+                        cfg.tau(), cfg.link.mtu);
+  ASSERT_FALSE(feasible);
+  ASSERT_LT(setup.b0, 0);
+  cfg.fc = setup;
+  topo::Topology topo;
+  topo::build_dumbbell(topo, 2);
+  try {
+    Fabric fabric(topo, cfg);
+    FAIL() << "fabric built with B_0 = " << setup.b0;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("B_0 = " + std::to_string(setup.b0)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("B_m = " + std::to_string(setup.bm)),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(FcSetupTryDerive, AgreesWithDeriveWhenFeasible) {
