@@ -3,16 +3,8 @@
 namespace gfc::core {
 
 void GfcBufferModule::on_attach() {
-  const auto n = static_cast<std::size_t>(node().port_count());
-  stage_.assign(n, {});
-  gates_.assign(n, nullptr);
-  for (int p = 0; p < node().port_count(); ++p) {
-    if (peer_is_switch(p)) {
-      auto gate = std::make_unique<RateGate>(node().port(p));
-      gates_[static_cast<std::size_t>(p)] = gate.get();
-      node().port(p).set_gate(std::move(gate));
-    }
-  }
+  RateAdjuster::on_attach();
+  stage_.assign(static_cast<std::size_t>(node().port_count()), {});
 }
 
 void GfcBufferModule::send_stage(int port, int prio) {
@@ -70,19 +62,10 @@ void GfcBufferModule::on_ingress_dequeue(int port, int prio,
   check_stage(port, prio);
 }
 
-void GfcBufferModule::on_control(int port, const net::Packet& pkt) {
-  if (pkt.type != net::PacketType::kGfcStage) return;
-  RateGate* gate = gates_[static_cast<std::size_t>(port)];
-  if (gate == nullptr) return;
+sim::Rate GfcBufferModule::on_feedback(int port, const net::Packet& pkt) {
   network().trace_event(trace::EventType::kStageRx, node().id(), port,
                         pkt.fc_priority, pkt.id, pkt.fc_stage);
-  gate->set_rate(pkt.fc_priority, mapping_.rate_of(pkt.fc_stage));
-}
-
-sim::Rate GfcBufferModule::programmed_rate(int port, int prio) const {
-  const RateGate* gate = gates_[static_cast<std::size_t>(port)];
-  if (gate == nullptr) return sim::Rate{0};
-  return gate->rate(prio);
+  return mapping_.rate_of(pkt.fc_stage);
 }
 
 }  // namespace gfc::core

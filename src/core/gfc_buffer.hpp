@@ -7,16 +7,15 @@
 // programs the per-priority Rate Limiter.
 #pragma once
 
-#include <memory>
+#include <array>
 #include <vector>
 
 #include "core/mapping.hpp"
 #include "core/rate_limiter.hpp"
-#include "flowctl/flow_control.hpp"
 
 namespace gfc::core {
 
-class GfcBufferModule final : public flowctl::LinkFcBase {
+class GfcBufferModule final : public RateAdjuster {
  public:
   /// `min_message_gap` rate-limits feedback per (port, priority): a queue
   /// oscillating across one stage boundary (the intended steady state)
@@ -25,20 +24,19 @@ class GfcBufferModule final : public flowctl::LinkFcBase {
   /// changes are coalesced into a trailing frame carrying the latest stage.
   explicit GfcBufferModule(const MultiStageMapping& mapping,
                            sim::TimePs min_message_gap = 0)
-      : mapping_(mapping), min_gap_(min_message_gap) {}
+      : RateAdjuster(net::PacketType::kGfcStage),
+        mapping_(mapping),
+        min_gap_(min_message_gap) {}
 
   void on_ingress_enqueue(int port, int prio, const net::Packet& pkt) override;
   void on_ingress_dequeue(int port, int prio, const net::Packet& pkt) override;
-  void on_control(int port, const net::Packet& pkt) override;
   const char* name() const override { return "GFC-buffer"; }
 
   const MultiStageMapping& mapping() const { return mapping_; }
 
-  /// Upstream view of the currently programmed rate (tests, wait-for graph).
-  sim::Rate programmed_rate(int port, int prio) const;
-
  protected:
   void on_attach() override;
+  sim::Rate on_feedback(int port, const net::Packet& pkt) override;
 
  private:
   void check_stage(int port, int prio);
@@ -54,7 +52,6 @@ class GfcBufferModule final : public flowctl::LinkFcBase {
     sim::EventId pending{};
   };
   std::vector<std::array<TxState, net::kNumPriorities>> stage_;  // downstream
-  std::vector<RateGate*> gates_;  // upstream; null on host-facing ports
 };
 
 }  // namespace gfc::core

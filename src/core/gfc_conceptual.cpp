@@ -5,16 +5,8 @@
 namespace gfc::core {
 
 void GfcConceptualModule::on_attach() {
-  const auto n = static_cast<std::size_t>(node().port_count());
-  last_sent_q_.assign(n, {});
-  gates_.assign(n, nullptr);
-  for (int p = 0; p < node().port_count(); ++p) {
-    if (peer_is_switch(p)) {
-      auto gate = std::make_unique<RateGate>(node().port(p));
-      gates_[static_cast<std::size_t>(p)] = gate.get();
-      node().port(p).set_gate(std::move(gate));
-    }
-  }
+  RateAdjuster::on_attach();
+  last_sent_q_.assign(static_cast<std::size_t>(node().port_count()), {});
 }
 
 void GfcConceptualModule::maybe_report(int port, int prio) {
@@ -50,19 +42,10 @@ void GfcConceptualModule::on_ingress_dequeue(int port, int prio,
   maybe_report(port, prio);
 }
 
-void GfcConceptualModule::on_control(int port, const net::Packet& pkt) {
-  if (pkt.type != net::PacketType::kGfcQueue) return;
-  RateGate* gate = gates_[static_cast<std::size_t>(port)];
-  if (gate == nullptr) return;
+sim::Rate GfcConceptualModule::on_feedback(int port, const net::Packet& pkt) {
   network().trace_event(trace::EventType::kQsampleRx, node().id(), port,
                         pkt.fc_priority, pkt.id, pkt.fc_value);
-  gate->set_rate(pkt.fc_priority, mapping_.rate_for(pkt.fc_value));
-}
-
-sim::Rate GfcConceptualModule::programmed_rate(int port, int prio) const {
-  const RateGate* gate = gates_[static_cast<std::size_t>(port)];
-  if (gate == nullptr) return sim::Rate{0};
-  return gate->rate(prio);
+  return mapping_.rate_for(pkt.fc_value);
 }
 
 }  // namespace gfc::core

@@ -8,31 +8,31 @@
 // of what the Figure 5 bench demonstrates.
 #pragma once
 
-#include <memory>
+#include <array>
 #include <vector>
 
 #include "core/mapping.hpp"
 #include "core/rate_limiter.hpp"
-#include "flowctl/flow_control.hpp"
 
 namespace gfc::core {
 
-class GfcConceptualModule final : public flowctl::LinkFcBase {
+class GfcConceptualModule final : public RateAdjuster {
  public:
   GfcConceptualModule(const LinearMapping& mapping,
                       std::int64_t min_delta_bytes = 512)
-      : mapping_(mapping), min_delta_(min_delta_bytes) {}
+      : RateAdjuster(net::PacketType::kGfcQueue),
+        mapping_(mapping),
+        min_delta_(min_delta_bytes) {}
 
   void on_ingress_enqueue(int port, int prio, const net::Packet& pkt) override;
   void on_ingress_dequeue(int port, int prio, const net::Packet& pkt) override;
-  void on_control(int port, const net::Packet& pkt) override;
   const char* name() const override { return "GFC-conceptual"; }
 
   const LinearMapping& mapping() const { return mapping_; }
-  sim::Rate programmed_rate(int port, int prio) const;
 
  protected:
   void on_attach() override;
+  sim::Rate on_feedback(int port, const net::Packet& pkt) override;
 
  private:
   void maybe_report(int port, int prio);
@@ -40,7 +40,6 @@ class GfcConceptualModule final : public flowctl::LinkFcBase {
   LinearMapping mapping_;
   std::int64_t min_delta_;
   std::vector<std::array<std::int64_t, net::kNumPriorities>> last_sent_q_;
-  std::vector<RateGate*> gates_;
 };
 
 }  // namespace gfc::core

@@ -6,14 +6,7 @@ namespace gfc::core {
 
 void GfcTimeModule::on_attach() {
   assert(period_ > 0);
-  gates_.assign(static_cast<std::size_t>(node().port_count()), nullptr);
-  for (int p = 0; p < node().port_count(); ++p) {
-    if (peer_is_switch(p)) {
-      auto gate = std::make_unique<RateGate>(node().port(p));
-      gates_[static_cast<std::size_t>(p)] = gate.get();
-      node().port(p).set_gate(std::move(gate));
-    }
-  }
+  RateAdjuster::on_attach();
   if (as_switch() != nullptr) {
     for (int p = 0; p < node().port_count(); ++p) arm_timer(p);
   }
@@ -41,19 +34,10 @@ void GfcTimeModule::send_samples(int port) {
   }
 }
 
-void GfcTimeModule::on_control(int port, const net::Packet& pkt) {
-  if (pkt.type != net::PacketType::kGfcQueue) return;
-  RateGate* gate = gates_[static_cast<std::size_t>(port)];
-  if (gate == nullptr) return;
+sim::Rate GfcTimeModule::on_feedback(int port, const net::Packet& pkt) {
   network().trace_event(trace::EventType::kQsampleRx, node().id(), port,
                         pkt.fc_priority, pkt.id, pkt.fc_value);
-  gate->set_rate(pkt.fc_priority, mapping_.rate_for(pkt.fc_value));
-}
-
-sim::Rate GfcTimeModule::programmed_rate(int port, int prio) const {
-  const RateGate* gate = gates_[static_cast<std::size_t>(port)];
-  if (gate == nullptr) return sim::Rate{0};
-  return gate->rate(prio);
+  return mapping_.rate_for(pkt.fc_value);
 }
 
 }  // namespace gfc::core

@@ -7,29 +7,26 @@
 // Theorem 5.1, and programs the Rate Limiter.
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "core/mapping.hpp"
 #include "core/rate_limiter.hpp"
-#include "flowctl/flow_control.hpp"
 
 namespace gfc::core {
 
-class GfcTimeModule final : public flowctl::LinkFcBase {
+class GfcTimeModule final : public RateAdjuster {
  public:
   GfcTimeModule(const LinearMapping& mapping, sim::TimePs period)
-      : mapping_(mapping), period_(period) {}
+      : RateAdjuster(net::PacketType::kGfcQueue),
+        mapping_(mapping),
+        period_(period) {}
 
-  void on_control(int port, const net::Packet& pkt) override;
   const char* name() const override { return "GFC-time"; }
 
   const LinearMapping& mapping() const { return mapping_; }
   sim::TimePs period() const { return period_; }
-  sim::Rate programmed_rate(int port, int prio) const;
 
  protected:
   void on_attach() override;
+  sim::Rate on_feedback(int port, const net::Packet& pkt) override;
 
  private:
   void arm_timer(int port);
@@ -37,7 +34,6 @@ class GfcTimeModule final : public flowctl::LinkFcBase {
 
   LinearMapping mapping_;
   sim::TimePs period_;
-  std::vector<RateGate*> gates_;
 };
 
 }  // namespace gfc::core

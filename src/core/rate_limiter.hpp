@@ -1,5 +1,6 @@
-// The paper's per-queue Rate Limiter (Sec. 5.3) and the egress-port gate
-// that GFC variants install upstream.
+// The paper's per-queue Rate Limiter (Sec. 5.3), the egress-port gate
+// that GFC variants install upstream, and the Rate Adjuster module base
+// that installs and programs those gates.
 //
 // Register semantics from the paper: after a packet whose transmission took
 // R_I = L/C, the countdown R_c = (C - R_r)/R_r * R_I must elapse before the
@@ -11,7 +12,9 @@
 
 #include <array>
 #include <memory>
+#include <vector>
 
+#include "flowctl/flow_control.hpp"
 #include "net/network.hpp"
 #include "net/port.hpp"
 #include "sim/time.hpp"
@@ -98,6 +101,33 @@ class RateGate final : public net::TxGate {
  private:
   net::EgressPort* port_;
   std::array<RateLimiter, net::kNumPriorities> limiters_;
+};
+
+/// The upstream half every GFC variant shares (the paper's Rate Adjuster):
+/// a RateGate on each switch-facing egress port, reprogrammed with the rate
+/// each received feedback frame maps to. Variants supply the downstream
+/// half (which feedback to send, and when) and the mapping.
+class RateAdjuster : public flowctl::LinkFcBase {
+ public:
+  /// Upstream view of the currently programmed rate (tests, wait-for
+  /// graph); 0 on host-facing ports, which carry no gate.
+  sim::Rate programmed_rate(int port, int prio) const;
+
+  void on_control(int port, const net::Packet& pkt) final;
+
+ protected:
+  explicit RateAdjuster(net::PacketType feedback) : feedback_(feedback) {}
+
+  /// Installs the gates; variants that override it call it first.
+  void on_attach() override;
+
+  /// A `feedback_` frame arrived on gated `port`: trace it and return the
+  /// rate it maps to for pkt.fc_priority.
+  virtual sim::Rate on_feedback(int port, const net::Packet& pkt) = 0;
+
+ private:
+  net::PacketType feedback_;
+  std::vector<RateGate*> gates_;  // owned by the ports; null facing hosts
 };
 
 }  // namespace gfc::core

@@ -186,15 +186,7 @@ sim::Rate Fabric::egress_rate(topo::NodeIndex node, topo::NodeIndex toward,
   const int p = port_to(node, toward);
   assert(p >= 0);
   net::Node& n = net_.node(node);
-  if (auto* m = dynamic_cast<core::GfcBufferModule*>(n.fc())) {
-    const sim::Rate r = m->programmed_rate(p, prio);
-    return r.is_zero() ? cfg_.link.rate : r;
-  }
-  if (auto* m = dynamic_cast<core::GfcTimeModule*>(n.fc())) {
-    const sim::Rate r = m->programmed_rate(p, prio);
-    return r.is_zero() ? cfg_.link.rate : r;
-  }
-  if (auto* m = dynamic_cast<core::GfcConceptualModule*>(n.fc())) {
+  if (auto* m = dynamic_cast<core::RateAdjuster*>(n.fc())) {
     const sim::Rate r = m->programmed_rate(p, prio);
     return r.is_zero() ? cfg_.link.rate : r;
   }
