@@ -30,9 +30,10 @@ void BM_SchedulerScheduleRun(benchmark::State& state) {
 BENCHMARK(BM_SchedulerScheduleRun);
 
 void BM_SchedulerCancelChurn(benchmark::State& state) {
-  // Models egress-port wake-timer churn: schedule a wake, cancel it on the
-  // next state change, reschedule — the dominant scheduler op pattern in
-  // EgressPort::try_transmit().
+  // Cancel-then-schedule churn with one-shot events: each new wake cancels
+  // the pending one. EgressPort::set_wake does the same on its registered
+  // wake timer (cancel, then fire_at); the body stays one-shot so recorded
+  // runs stay comparable.
   for (auto _ : state) {
     sim::Scheduler sched;
     long fired = 0;

@@ -30,11 +30,11 @@ void Channel::flight_arrival() {
 void Channel::propagate(Packet* pkt, sim::TimePs delay) {
   if (delay == prop_delay_) {
     // Fixed-delay fast path: the packet rides the wire FIFO and the shared
-    // multishot timer. fire_at takes its sequence number right here, where
+    // registered timer. fire_at takes its sequence number right here, where
     // schedule_in took it, so arrival order is byte-identical.
     sim::Scheduler& sched = dst_.sched_ref();
     if (!flight_timer_.valid())
-      flight_timer_ = sched.register_multishot([this] { flight_arrival(); });
+      flight_timer_ = sched.register_timer([this] { flight_arrival(); });
     flight_.push_back(pkt);
     sched.fire_at(flight_timer_, sched.now() + delay);
     return;

@@ -46,7 +46,7 @@ class Channel {
   sim::TimePs prop_delay_;
   bool up_ = true;
   // Fixed-delay wire FIFO: arrivals fire in send order (constant delay,
-  // monotonic clock), so one multishot timer pops this queue head per
+  // monotonic clock), so one registered timer pops this queue head per
   // firing instead of each packet carrying its own one-shot closure.
   // Fault-delayed frames break FIFO and keep the one-shot path.
   std::deque<Packet*> flight_;

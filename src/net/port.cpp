@@ -38,47 +38,28 @@ void EgressPort::set_link_up(bool up) {
 }
 
 void EgressPort::cancel_wake() {
-  if (wake_event_.valid()) {
-    sched().cancel(wake_event_);
-    wake_event_ = {};
-    owner_.network().trace_event(trace::EventType::kWakeCancel, owner_.id(),
-                                 index_, -1, 0, wake_at_);
-  }
+  if (wake_at_ == sim::kTimeNever) return;
+  sched().cancel(wake_timer_);
+  owner_.network().trace_event(trace::EventType::kWakeCancel, owner_.id(),
+                               index_, -1, 0, wake_at_);
   wake_at_ = sim::kTimeNever;
 }
 
 void EgressPort::set_wake(sim::TimePs wake_at) {
-  if (wake_event_.valid()) {
-    if (wake_at == wake_at_) return;  // timer already armed for that instant
-    owner_.network().trace_event(trace::EventType::kWakeCancel, owner_.id(),
-                                 index_, -1, 0, wake_at_);
-    if (wake_at != sim::kTimeNever) {
-      // Retarget the armed timer in place: same callback, fresh FIFO
-      // sequence number — observably identical to cancel + schedule, minus
-      // the callback teardown/rebuild and slot free-list round trip.
-      const sim::EventId moved = sched().reschedule(wake_event_, wake_at);
-      if (moved.valid()) {
-        wake_event_ = moved;
-        wake_at_ = wake_at;
-        owner_.network().trace_event(trace::EventType::kWakeArm, owner_.id(),
-                                     index_, -1, 0, wake_at);
-        return;
-      }
-    }
-    sched().cancel(wake_event_);
-    wake_event_ = {};
-  }
-  wake_at_ = wake_at;
+  if (wake_at == wake_at_) return;  // timer already set for that instant
+  cancel_wake();
   if (wake_at == sim::kTimeNever) return;
+  if (!wake_timer_.valid())
+    wake_timer_ = sched().register_timer([this] {
+      wake_at_ = sim::kTimeNever;
+      owner_.network().trace_event(trace::EventType::kWakeFire, owner_.id(),
+                                   index_, -1, 0, sched().now());
+      try_transmit();
+    });
+  wake_at_ = wake_at;
   owner_.network().trace_event(trace::EventType::kWakeArm, owner_.id(), index_,
                                -1, 0, wake_at);
-  wake_event_ = sched().schedule_at(wake_at, [this] {
-    wake_event_ = {};
-    wake_at_ = sim::kTimeNever;
-    owner_.network().trace_event(trace::EventType::kWakeFire, owner_.id(),
-                                 index_, -1, 0, sched().now());
-    try_transmit();
-  });
+  sched().fire_at(wake_timer_, wake_at);
 }
 
 void EgressPort::try_transmit() {
@@ -128,15 +109,14 @@ void EgressPort::start_tx(Packet* pkt, bool control) {
                                  pkt->size_bytes);
     gate_->on_transmit(*pkt, sched().now());
   }
-  // Batched wire events: a saturated port's N back-to-back transmissions
-  // arm this one registered drain timer N times (often from inside its own
-  // firing, via complete_tx -> try_transmit) instead of constructing and
-  // destroying N one-shot events. Arming takes a fresh FIFO sequence
-  // number exactly where schedule_in did, so event order is unchanged.
+  // A saturated port's N back-to-back transmissions fire this one
+  // registered timer N times (often from inside its own firing, via
+  // complete_tx -> try_transmit) instead of constructing and destroying N
+  // one-shot events. At most one firing is pending: in_flight_ guards it.
   if (!tx_done_timer_.valid())
     tx_done_timer_ = sched().register_timer([this] { complete_tx(); });
   const sim::TimePs t = sim::tx_time(rate_, pkt->size_bytes);
-  sched().arm_timer(tx_done_timer_, sched().now() + t);
+  sched().fire_at(tx_done_timer_, sched().now() + t);
 }
 
 void EgressPort::complete_tx() {

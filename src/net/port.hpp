@@ -89,12 +89,15 @@ class EgressPort {
   void complete_tx();
   sim::Scheduler& sched();
 
-  /// Drop any pending wake timer.
+  /// Drop the pending wake, if any.
   void cancel_wake();
-  /// Arm (or keep) the wake timer for `wake_at`; kTimeNever disarms. A
-  /// pending timer for the same instant is kept instead of being
-  /// cancel/re-scheduled — gate kicks that do not change the wake time are
-  /// common and the churn is measurable (BM_SchedulerCancelChurn).
+  /// Set the wake timer to fire at `wake_at`; kTimeNever leaves none
+  /// pending. A wake already pending for the same instant is kept: gate
+  /// kicks that do not change the wake time are common. Otherwise the
+  /// pending firing is cancelled and a new one queued, which takes a fresh
+  /// FIFO sequence number. While the owner holds blocked data, a wake stays
+  /// pending unless the gate has no wake time of its own — the
+  /// hold-and-wait condition probe_hold_and_wait tests.
   void set_wake(sim::TimePs wake_at);
 
   Node& owner_;
@@ -108,9 +111,9 @@ class EgressPort {
   bool link_up_ = true;
   Packet* in_flight_ = nullptr;
   bool in_flight_control_ = false;
-  sim::EventId wake_event_{};
-  sim::TimePs wake_at_ = sim::kTimeNever;  // instant wake_event_ fires at
-  sim::TimerId tx_done_timer_{};           // registered complete_tx drain timer
+  sim::TimerId wake_timer_{};              // registered on the first wake
+  sim::TimePs wake_at_ = sim::kTimeNever;  // its pending firing, if any
+  sim::TimerId tx_done_timer_{};           // fires complete_tx
 
   std::uint64_t tx_control_bytes_ = 0;
   std::uint64_t tx_control_frames_ = 0;

@@ -60,15 +60,13 @@ Scheduler::Scheduler() {
     for (auto& head : level) head = kNoNode;
 }
 
-Scheduler::~Scheduler() { destroy_pending_callbacks(); }
-
-void Scheduler::destroy_pending_callbacks() {
-  // Destroy the callbacks of still-pending events wherever their queue
-  // entry lives (cancelled entries fail the generation check and were
-  // already destroyed at cancel time).
+Scheduler::~Scheduler() {
+  // Destroy the callbacks of still-pending one-shot events wherever their
+  // queue entry lives (cancelled entries fail the generation check and were
+  // already destroyed at cancel time), then every timer's callback.
   const auto destroy_ref = [this](std::uint32_t slot, std::uint32_t gen) {
     Slot& s = *slot_ptr(slot);
-    if (!s.persistent && s.gen == gen && s.destroy != nullptr)
+    if (!s.registered && s.gen == gen && s.destroy != nullptr)
       s.destroy(s.storage);
   };
   for (std::size_t i = near_idx_; i < near_.size(); ++i)
@@ -78,40 +76,10 @@ void Scheduler::destroy_pending_callbacks() {
     for (std::uint32_t head : level)
       for (std::uint32_t n = head; n != kNoNode; n = nodes_[n].next)
         destroy_ref(nodes_[n].slot, nodes_[n].gen);
-  // Persistent-timer callbacks live outside any queue entry.
   for (std::uint32_t i = 0; i < slots_used_; ++i) {
     Slot& s = *slot_ptr(i);
-    if (s.persistent && s.destroy != nullptr) s.destroy(s.storage);
+    if (s.registered && s.destroy != nullptr) s.destroy(s.storage);
   }
-}
-
-void Scheduler::clear() {
-  destroy_pending_callbacks();
-  near_.clear();
-  near_idx_ = 0;
-  overflow_.clear();
-  for (auto& level : wheel_)
-    for (auto& head : level) head = kNoNode;
-  for (auto& word : occ_) word = 0;
-  nodes_.clear();  // keeps capacity
-  node_free_ = kNoNode;
-  cur_tick_ = 0;
-  // Reset generations over the slot high-water mark so the cleared
-  // scheduler re-issues the same EventIds a fresh one would.
-  for (std::uint32_t i = 0; i < slots_used_; ++i) {
-    Slot& s = *slot_ptr(i);
-    s.gen = 1;
-    s.persistent = false;
-    s.armed = false;
-    s.multishot = false;
-  }
-  slots_used_ = 0;
-  free_head_ = kNoFreeSlot;
-  next_seq_ = 0;
-  now_ = 0;
-  live_ = 0;
-  executed_ = 0;
-  stop_requested_ = false;
 }
 
 std::uint32_t Scheduler::alloc_slot() {
@@ -328,9 +296,10 @@ void Scheduler::execute(const HeapEntry& e) {
   Slot& s = *slot_ptr(e.slot);
   ++executed_;
   --live_;
-  if (s.multishot) {
-    // Other firings of this slot may still be queued; the generation must
-    // keep matching them.
+  if (s.registered) {
+    // The callback survives its firing, and the generation must keep
+    // matching the timer's other queued firings.
+    --s.pending;
     s.run(s.storage);
     return;
   }
@@ -339,11 +308,6 @@ void Scheduler::execute(const HeapEntry& e) {
   // but keep the slot off the free list until the callback (which may
   // schedule new events into other slots) has finished and been destroyed.
   if (++s.gen == 0) s.gen = 1;
-  if (s.persistent) {
-    s.armed = false;  // before run: the callback may re-arm its own timer
-    s.run(s.storage);
-    return;  // slot and callback stay registered
-  }
   s.run(s.storage);
   s.next_free = free_head_;
   free_head_ = e.slot;
@@ -365,51 +329,24 @@ bool Scheduler::cancel(EventId id) {
   return true;
 }
 
-EventId Scheduler::reschedule(EventId id, TimePs t) {
-  if (!id.valid()) return EventId{};
-  const std::uint32_t low = static_cast<std::uint32_t>(id.value);
-  if (low == 0 || low > slots_used_) return EventId{};
-  const std::uint32_t idx = low - 1;
-  Slot& s = *slot_ptr(idx);
-  if (s.gen != static_cast<std::uint32_t>(id.value >> 32)) return EventId{};
-  if (t < now_) t = now_;  // same clamp as schedule_at
-  // Bump the generation: the old id and the old queue entry both go stale,
-  // while the callback stays constructed in place.
-  if (++s.gen == 0) s.gen = 1;
-  queue_call(t, idx, s.gen);
-  return EventId{(static_cast<std::uint64_t>(s.gen) << 32) |
-                 (static_cast<std::uint64_t>(idx) + 1)};
-}
-
 void Scheduler::fire_at(TimerId timer, TimePs t) {
   if (!timer.valid()) return;
   Slot& s = *slot_ptr(timer.value - 1);
   if (t < now_) t = now_;  // same clamp as schedule_at
   queue_call(t, timer.value - 1, s.gen);
+  ++s.pending;
   ++live_;
 }
 
-void Scheduler::arm_timer(TimerId timer, TimePs t) {
-  if (!timer.valid()) return;
+bool Scheduler::cancel(TimerId timer) {
+  if (!timer.valid()) return false;
   Slot& s = *slot_ptr(timer.value - 1);
-  if (t < now_) t = now_;  // same clamp as schedule_at
-  if (s.armed) {
-    // Move the pending firing: stale out the old queue entry.
-    if (++s.gen == 0) s.gen = 1;
-  } else {
-    s.armed = true;
-    ++live_;
-  }
-  queue_call(t, timer.value - 1, s.gen);
-}
-
-void Scheduler::disarm_timer(TimerId timer) {
-  if (!timer.valid()) return;
-  Slot& s = *slot_ptr(timer.value - 1);
-  if (!s.armed) return;
+  if (s.pending == 0) return false;
+  // One generation bump stales every queued firing of this timer.
   if (++s.gen == 0) s.gen = 1;
-  s.armed = false;
-  --live_;
+  live_ -= s.pending;
+  s.pending = 0;
+  return true;
 }
 
 bool Scheduler::step() {

@@ -2,8 +2,8 @@
 // op-script generator plus a harness that applies the script to either
 // engine (production timing-wheel sim::Scheduler or the frozen PR-1 heap
 // in tests/reference_scheduler.hpp) and records every observable:
-// callback firings (tag, time), cancel/reschedule/step results, now(),
-// pending_events().
+// callback firings (tag, time), event and timer cancel results, step
+// results, now(), pending_events().
 //
 // Used by tests/scheduler_differential_test.cpp (gtest, fixed seeds) and
 // tests/scheduler_fuzz.cpp (standalone binary, seed sweep / timed runs).
@@ -29,25 +29,24 @@ struct Fire {
 };
 
 // The op script is pure data, generated once per seed and applied to both
-// engines. Callback side effects (chained schedules, timer re-arms) are
-// pure functions of the callback's tag, so identical execution order
-// implies identical behavior — and divergent order shows up in the logs.
+// engines. Callback side effects (chained schedules, timer re-fires and
+// self-cancels) are pure functions of the callback's tag and the harness
+// state, so identical execution order implies identical behavior — and
+// divergent order shows up in the logs.
 struct Op {
   enum Kind : std::uint8_t {
-    kSchedule,    // one event at now + delta
-    kBurst,       // `count` events at the same instant (FIFO tie-order)
-    kCancel,      // cancel live[sel] (often already fired -> must be false)
-    kReschedule,  // reschedule live[sel] to now + delta
+    kSchedule,  // one event at now + delta
+    kBurst,     // `count` events at the same instant (FIFO tie-order)
+    kCancel,    // cancel live[sel] (often already fired -> must be false)
     kRegisterTimer,
-    kArmTimer,    // arm timers[sel] at now + delta (re-targets if armed)
-    kDisarmTimer,
+    kFireTimer,    // `count` more firings of timers[sel] at now + delta
+    kCancelTimer,  // drop every pending firing of timers[sel]
     kStep,
     kRunUntil,  // drain to now + delta
-    kClear,     // reset the engine; invalidates live ids and timers
   };
   Kind kind;
-  std::uint32_t count;  // kBurst width
-  std::uint32_t sel;    // index selector for cancel/resched/timer ops
+  std::uint32_t count;  // kBurst width, kFireTimer firings
+  std::uint32_t sel;    // index selector for cancel/timer ops
   TimePs delta;         // time offset for schedule/arm/run_until
 };
 
@@ -95,29 +94,26 @@ inline std::vector<Op> make_script(std::uint64_t seed, std::size_t n_ops) {
     } else if (roll < 52) {
       op.kind = Op::kCancel;  // stale ids included on purpose
       op.sel = static_cast<std::uint32_t>(rng());
-    } else if (roll < 60) {
-      op.kind = Op::kReschedule;
-      op.sel = static_cast<std::uint32_t>(rng());
-      op.delta = adversarial_delta(rng);
-    } else if (roll < 63) {
+    } else if (roll < 55) {
       op.kind = Op::kRegisterTimer;
     } else if (roll < 70) {
-      op.kind = Op::kArmTimer;
+      // Several firings of one timer pending at once, at the same instant
+      // or spread over the wheel levels by repeated ops.
+      op.kind = Op::kFireTimer;
+      op.count = 1 + static_cast<std::uint32_t>(rng() % 3);
       op.sel = static_cast<std::uint32_t>(rng());
       op.delta = adversarial_delta(rng);
-    } else if (roll < 73) {
-      op.kind = Op::kDisarmTimer;
+    } else if (roll < 74) {
+      op.kind = Op::kCancelTimer;
       op.sel = static_cast<std::uint32_t>(rng());
-    } else if (roll < 85) {
+    } else if (roll < 86) {
       op.kind = Op::kStep;
-    } else if (roll < 99) {
+    } else {
       op.kind = Op::kRunUntil;
       // Mostly modest drains; occasionally a huge jump that rolls the
       // wheel cursor across whole level-3 frames (epoch advance).
       op.delta = rng() % 8 == 0 ? adversarial_delta(rng) * 64
                                 : adversarial_delta(rng);
-    } else {
-      op.kind = Op::kClear;
     }
     script.push_back(op);
   }
@@ -143,42 +139,24 @@ class Harness {
         if (!live_.empty())
           results_.push_back(s_.cancel(live_[op.sel % live_.size()]));
         break;
-      case Op::kReschedule:
-        if (!live_.empty()) {
-          const std::size_t k = op.sel % live_.size();
-          const EventId moved = s_.reschedule(live_[k], s_.now() + op.delta);
-          results_.push_back(moved.valid());
-          if (moved.valid()) live_[k] = moved;
-        }
-        break;
       case Op::kRegisterTimer: {
         const std::size_t ti = timers_.size();
-        timers_.push_back(s_.register_timer([this, ti] {
-          log_.push_back(Fire{kTimerTagBase + ti, s_.now()});
-          // Self re-arm with a bounded budget: the saturated-port drain
-          // pattern (arm from inside the timer's own firing).
-          if (timer_budget_[ti] > 0) {
-            --timer_budget_[ti];
-            s_.arm_timer(timers_[ti],
-                         s_.now() + 1 + static_cast<TimePs>(ti % 5) * 97);
-          }
-        }));
+        timers_.push_back(s_.register_timer([this, ti] { on_timer(ti); }));
         timer_budget_.push_back(0);
+        timer_fires_.push_back(0);
         break;
       }
-      case Op::kArmTimer:
+      case Op::kFireTimer:
         if (!timers_.empty()) {
           const std::size_t k = op.sel % timers_.size();
           timer_budget_[k] = 3;
-          s_.arm_timer(timers_[k], s_.now() + op.delta);
+          for (std::uint32_t i = 0; i < op.count; ++i)
+            s_.fire_at(timers_[k], s_.now() + op.delta);
         }
         break;
-      case Op::kDisarmTimer:
-        if (!timers_.empty()) {
-          const std::size_t k = op.sel % timers_.size();
-          s_.disarm_timer(timers_[k]);
-          results_.push_back(s_.timer_armed(timers_[k]));
-        }
+      case Op::kCancelTimer:
+        if (!timers_.empty())
+          results_.push_back(s_.cancel(timers_[op.sel % timers_.size()]));
         break;
       case Op::kStep:
         results_.push_back(s_.step());
@@ -186,13 +164,14 @@ class Harness {
       case Op::kRunUntil:
         s_.run_until(s_.now() + op.delta);
         break;
-      case Op::kClear:
-        s_.clear();
-        live_.clear();
-        timers_.clear();
-        timer_budget_.clear();
-        break;
     }
+  }
+
+  /// Cancel every event id ever issued and every timer, leaving the engine
+  /// empty but with its slots, wheel nodes and stale entries in place.
+  void cancel_all() {
+    for (EventId id : live_) results_.push_back(s_.cancel(id));
+    for (TimerId t : timers_) results_.push_back(s_.cancel(t));
   }
 
   const std::vector<Fire>& log() const { return log_; }
@@ -213,6 +192,19 @@ class Harness {
     }));
   }
 
+  void on_timer(std::size_t ti) {
+    log_.push_back(Fire{kTimerTagBase + ti, s_.now()});
+    // Every 5th firing of a timer cancels its other pending firings from
+    // inside its own callback.
+    if (++timer_fires_[ti] % 5 == 0) results_.push_back(s_.cancel(timers_[ti]));
+    // Re-fire with a bounded budget: the saturated-port drain pattern
+    // (fire_at from inside the timer's own firing).
+    if (timer_budget_[ti] > 0) {
+      --timer_budget_[ti];
+      s_.fire_at(timers_[ti], s_.now() + 1 + static_cast<TimePs>(ti % 5) * 97);
+    }
+  }
+
   static constexpr std::uint64_t kTimerTagBase = 1ull << 48;
 
   Sched s_;
@@ -221,6 +213,7 @@ class Harness {
   std::vector<EventId> live_;  // every id ever issued (stale ones included)
   std::vector<TimerId> timers_;
   std::vector<int> timer_budget_;
+  std::vector<std::uint64_t> timer_fires_;
   std::uint64_t next_tag_ = 0;
 };
 

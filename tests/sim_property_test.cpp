@@ -42,7 +42,7 @@ struct ScheduledSpec {
 enum class Op : std::uint8_t {
   kSchedule,
   kCancel,
-  kReschedule,  // move a pending event to now + delay (fresh FIFO order)
+  kMove,  // move a pending event to now + delay (fresh FIFO order)
   kStep,
   kRunUntil,
   kRunAll,
@@ -52,7 +52,7 @@ struct ScriptOp {
   Op op;
   TimePs delay = 0;     // kSchedule: offset from now; kRunUntil: horizon offset
   ScheduledSpec spec{};  // kSchedule
-  std::uint64_t target_pick = 0;  // kCancel/kReschedule: pick mod issued
+  std::uint64_t target_pick = 0;  // kCancel/kMove: pick mod issued
 };
 
 // Delays that land on an implementation's likely structural boundaries:
@@ -93,7 +93,7 @@ std::vector<ScriptOp> make_script(Rng& rng, int n_ops) {
   script.reserve(static_cast<std::size_t>(n_ops));
   for (int i = 0; i < n_ops; ++i) {
     // Occasionally emit a dense churn block: schedules, cancels and
-    // reschedules all pinned to one instant (often a bucket boundary) —
+    // moves all pinned to one instant (often a bucket boundary) —
     // the worst case for same-timestamp FIFO bookkeeping.
     if (rng.uniform_int(0, 39) == 0) {
       const TimePs d = rng.uniform_int(0, 1) == 0 ? boundary_delay(rng)
@@ -111,7 +111,7 @@ std::vector<ScriptOp> make_script(Rng& rng, int n_ops) {
           s.target_pick =
               static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
         } else {
-          s.op = Op::kReschedule;
+          s.op = Op::kMove;
           s.delay = d;
           s.target_pick =
               static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
@@ -141,7 +141,7 @@ std::vector<ScriptOp> make_script(Rng& rng, int n_ops) {
       s.op = Op::kCancel;
       s.target_pick = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
     } else if (roll < 70) {
-      s.op = Op::kReschedule;
+      s.op = Op::kMove;
       s.delay = rng.uniform_int(0, 7) == 0 ? boundary_delay(rng)
                                            : rng.uniform_int(0, 9) * 100;
       s.target_pick = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
@@ -182,13 +182,15 @@ class RealHarness {
           trace_.push_back({kCancelResult, sched_.cancel(ids_[t]) ? 1 : 0});
         }
         break;
-      case Op::kReschedule:
+      case Op::kMove:
+        // A move is cancel + schedule of the same serial's callback.
         if (!ids_.empty()) {
           const std::size_t t = s.target_pick % ids_.size();
-          const EventId moved =
-              sched_.reschedule(ids_[t], sched_.now() + s.delay);
-          trace_.push_back({kCancelResult, moved.valid() ? 1 : 0});
-          if (moved.valid()) ids_[t] = moved;
+          const bool moved = sched_.cancel(ids_[t]);
+          trace_.push_back({kCancelResult, moved ? 1 : 0});
+          if (moved)
+            ids_[t] = sched_.schedule_at(sched_.now() + s.delay,
+                                         [this, t] { on_fire(t); });
         }
         break;
       case Op::kStep:
@@ -256,7 +258,7 @@ class ModelHarness {
   struct Ev {
     TimePs t;
     std::uint64_t serial;  // identity (cancel target, trace tag)
-    std::uint64_t order;   // FIFO tie-break; bumped by reschedule
+    std::uint64_t order;   // FIFO tie-break; bumped by a move
   };
 
   void apply(const ScriptOp& s) {
@@ -270,10 +272,10 @@ class ModelHarness {
           trace_.push_back({kCancelResult, cancel(t) ? 1 : 0});
         }
         break;
-      case Op::kReschedule:
+      case Op::kMove:
         if (!specs_.empty()) {
           const std::uint64_t t = s.target_pick % specs_.size();
-          trace_.push_back({kCancelResult, reschedule(t, now_ + s.delay) ? 1 : 0});
+          trace_.push_back({kCancelResult, move_event(t, now_ + s.delay) ? 1 : 0});
         }
         break;
       case Op::kStep:
@@ -308,10 +310,10 @@ class ModelHarness {
     return false;
   }
 
-  // Documented reschedule semantics: observably cancel + schedule at `t`,
-  // i.e. the moved event goes behind existing same-timestamp events
-  // (fresh FIFO order), and moving a fired/cancelled event fails.
-  bool reschedule(std::uint64_t serial, TimePs t) {
+  // A move is cancel + schedule at `t`: the moved event goes behind
+  // existing same-timestamp events (fresh FIFO order), and moving a
+  // fired/cancelled event fails.
+  bool move_event(std::uint64_t serial, TimePs t) {
     for (Ev& ev : pending_) {
       if (ev.serial == serial) {
         ev.t = t < now_ ? now_ : t;

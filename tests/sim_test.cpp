@@ -350,6 +350,71 @@ TEST(SchedulerPinned, ExecutedEventsCountsOnlyRealFirings) {
   EXPECT_EQ(sched.executed_events(), 5u);
 }
 
+TEST(SchedulerTimer, FiringsInterleaveWithEventsInScheduleOrder) {
+  Scheduler sched;
+  std::vector<int> order;
+  const TimerId t = sched.register_timer([&] { order.push_back(0); });
+  sched.schedule_at(us(1), [&] { order.push_back(1); });
+  sched.fire_at(t, us(1));
+  sched.schedule_at(us(1), [&] { order.push_back(2); });
+  sched.fire_at(t, us(1));
+  sched.fire_at(t, us(0));  // earlier instant, queued last
+  EXPECT_EQ(sched.pending_events(), 5u);
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 2, 0}));
+  EXPECT_EQ(sched.executed_events(), 5u);
+}
+
+TEST(SchedulerTimer, FireFromOwnCallback) {
+  Scheduler sched;
+  std::vector<TimePs> stamps;
+  TimerId t;
+  t = sched.register_timer([&] {
+    stamps.push_back(sched.now());
+    if (stamps.size() < 3) sched.fire_at(t, sched.now() + us(1));
+  });
+  sched.fire_at(t, us(1));
+  sched.run_all();
+  EXPECT_EQ(stamps, (std::vector<TimePs>{us(1), us(2), us(3)}));
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(SchedulerTimer, CancelDropsEveryPendingFiring) {
+  Scheduler sched;
+  int fired = 0;
+  const TimerId t = sched.register_timer([&fired] { ++fired; });
+  sched.fire_at(t, us(1));
+  sched.fire_at(t, us(5));
+  sched.fire_at(t, ms(5000));  // past the wheel horizon
+  EXPECT_EQ(sched.pending_events(), 3u);
+  EXPECT_TRUE(sched.cancel(t));
+  EXPECT_FALSE(sched.cancel(t));  // nothing left to drop
+  EXPECT_EQ(sched.pending_events(), 0u);
+  sched.run_all();
+  EXPECT_EQ(fired, 0);
+  // The callback stays registered: a later firing runs.
+  sched.fire_at(t, sched.now() + us(1));
+  sched.run_all();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sched.cancel(TimerId{}));
+}
+
+TEST(SchedulerTimer, CancelFromOwnCallbackDropsTheOthers) {
+  Scheduler sched;
+  int fired = 0;
+  TimerId t;
+  t = sched.register_timer([&] {
+    ++fired;
+    EXPECT_TRUE(sched.cancel(t));  // the us(2) and us(3) firings
+  });
+  sched.fire_at(t, us(1));
+  sched.fire_at(t, us(2));
+  sched.fire_at(t, us(3));
+  sched.run_all();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sched.executed_events(), 1u);
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; ++i)
