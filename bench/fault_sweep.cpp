@@ -152,8 +152,8 @@ exp::TrialResult run_recovery_trial(const MechSpec& m, std::uint64_t base,
   if (cli.trace)
     // First detection wins the file; later recoveries rewrite it with the
     // latest pre-stall window, which is still deterministic per trial.
-    bench::arm_flight_dump(&dl_opts, *s.fabric,
-                           cli.trace_artifact(trial_name, "flight.txt"));
+    runner::arm_flight_dump(&dl_opts, *s.fabric,
+                            cli.trace_artifact(trial_name, "flight.txt"));
   stats::DeadlockDetector det(net, dl_opts);
   net.run_until(dur);
   exp::TrialResult out = exp::TrialResult()

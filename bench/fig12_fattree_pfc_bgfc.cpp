@@ -1,104 +1,17 @@
-// Figure 12: fat-tree (k=4) with three failed links — per-flow throughput
-// under PFC vs buffer-based GFC. The failure set and flow paths come from
-// a deterministic search for a Figure-11-style case: the four paper flows
-// (H0->H8, H4->H12, H9->H1, H13->H5) must form a >=4-hop agg/core CBD
-// with every cycle link oversubscribed.
-// Paper parameters: buffer 300 KB, 10G links, 1 us propagation,
-// XOFF 280 / XON 277 KB, B1 = 281 KB.
+// Figure 12: the Figure 11 fat-tree case study (bench::fig11_case_study)
+// under PFC vs buffer-based GFC. Paper parameters: XOFF 280 / XON 277 KB,
+// B1 = 281 KB.
 #include "bench_common.hpp"
 
 using namespace gfc;
-using namespace gfc::runner;
-
-namespace {
-
-struct CaseRun {
-  std::vector<stats::TimeSeries> flow_gbps;
-  bool deadlocked = false;
-  sim::TimePs deadlock_at = -1;
-};
-
-CaseRun run(const topo::Fig11Case& c, const FcSetup& fc, net::SwitchArch arch,
-            sim::TimePs duration, analyze::PreflightMode preflight) {
-  ScenarioConfig cfg;
-  cfg.preflight = preflight;
-  cfg.switch_buffer = 300'000;
-  cfg.arch = arch;
-  cfg.fc = fc;
-  auto s = make_fattree(cfg, 4, c.failed_links);
-  net::Network& net = s.fabric->net();
-  std::vector<net::FlowId> flows;
-  for (std::size_t f = 0; f < c.flows.size(); ++f) {
-    net::Flow& flow = net.create_flow(c.flows[f].first, c.flows[f].second, 0,
-                                      net::Flow::kUnbounded, 0);
-    flow.path_salt = c.salts[f];
-    flows.push_back(flow.id);
-  }
-  stats::ThroughputSampler tp(net, sim::us(100),
-                              stats::ThroughputSampler::Key::kPerFlow);
-  stats::DeadlockDetector det(net);
-  CaseRun out;
-  out.flow_gbps.resize(flows.size());
-  stats::PeriodicProbe probe(net.sched(), sim::us(200), [&](sim::TimePs now) {
-    for (std::size_t f = 0; f < flows.size(); ++f)
-      out.flow_gbps[f].add(
-          now, tp.average_gbps(flows[f], now - sim::us(200), now));
-  });
-  net.run_until(duration);
-  out.deadlocked = det.deadlocked();
-  out.deadlock_at = det.detected_at();
-  return out;
-}
-
-void report(const char* label, const CaseRun& r,
-            sim::TimePs duration) {
-  std::printf("\n--- %s ---\n", label);
-  std::printf("deadlock: %s%s\n", r.deadlocked ? "YES " : "no",
-              r.deadlocked ? sim::format_time(r.deadlock_at).c_str() : "");
-  static const char* kFlowNames[] = {"F1 H0->H8", "F2 H4->H12", "F3 H9->H1",
-                                     "F4 H13->H5"};
-  for (std::size_t f = 0; f < r.flow_gbps.size(); ++f)
-    std::printf("  %-11s tail throughput = %5.2f Gb/s\n", kFlowNames[f],
-                r.flow_gbps[f].mean(duration * 3 / 4, duration));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  bench::header("Figure 12: fat-tree case study, PFC vs buffer-based GFC",
-                "Fig. 11/12, Sec 6.2.2");
-  // --quick: 6 ms instead of 20 (deadlock strikes by ~3 ms; see
-  // EXPERIMENTS.md) so CI can smoke-run the full pipeline.
-  const sim::TimePs duration = cli.quick ? sim::ms(6) : sim::ms(20);
-  topo::Topology t;
-  const auto ft = topo::build_fattree(t, 4);
-  const auto cases = topo::find_fig11_cases(t, ft, 1);
-  if (cases.empty()) {
-    std::printf("no qualifying 3-failure case found\n");
-    return 1;
-  }
-  const auto& c = cases.front();
-  std::printf("failed links:");
-  for (auto l : c.failed_links)
-    std::printf(" %s-%s", t.node(t.link(l).a).name.c_str(),
-                t.node(t.link(l).b).name.c_str());
-  std::printf("\nCBD cycle:");
-  for (const auto& [a, b] : c.cbd.cycle)
-    std::printf(" %s->%s", t.node(a).name.c_str(), t.node(b).name.c_str());
-  std::printf("\n");
-
-  const CaseRun pfc = run(c, FcSetup::pfc(280'000, 277'000),
-                          net::SwitchArch::kOutputQueuedFifo, duration,
-                          cli.preflight);
-  report("PFC (arrival-order switches)", pfc, duration);
-
-  const CaseRun gfc = run(c, FcSetup::gfc_buffer(281'000, 300'000),
-                          net::SwitchArch::kCioqRoundRobin, duration,
-                          cli.preflight);
-  report("buffer-based GFC (fair crossbar)", gfc, duration);
-
-  std::printf("\nPaper shape: PFC flows all collapse to 0 (deadlock); GFC "
-              "flows each hold their 5 Gb/s share.\n");
-  return 0;
+  return bench::fig11_case_study(
+      argc, argv, "Figure 12: fat-tree case study, PFC vs buffer-based GFC",
+      "Fig. 11/12, Sec 6.2.2",
+      {"PFC (arrival-order switches)", runner::FcSetup::pfc(280'000, 277'000),
+       net::SwitchArch::kOutputQueuedFifo},
+      {"buffer-based GFC (fair crossbar)",
+       runner::FcSetup::gfc_buffer(281'000, 300'000),
+       net::SwitchArch::kCioqRoundRobin});
 }

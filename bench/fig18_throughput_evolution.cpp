@@ -51,7 +51,7 @@ stats::TimeSeries run(FcKind kind, net::SwitchArch arch,
   gen.start();
   stats::ThroughputSampler tp(net, sim::us(100));
   stats::DeadlockOptions dl_opts;
-  bench::arm_flight_dump(&dl_opts, *s.fabric, art.flight_dump);
+  runner::arm_flight_dump(&dl_opts, *s.fabric, art.flight_dump);
   stats::DeadlockDetector det(net, dl_opts);
   stats::TimeSeries series;
   stats::PeriodicProbe probe(net.sched(), sim::us(100), [&](sim::TimePs now) {

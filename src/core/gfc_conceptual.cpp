@@ -20,7 +20,7 @@ void GfcConceptualModule::maybe_report(int port, int prio) {
   // re-entering the flat region so the upstream restores line rate).
   const bool flat = q <= mapping_.b0() && last <= mapping_.b0();
   if (flat && last >= 0) return;
-  if (std::llabs(q - last) < min_delta_ && !(q <= mapping_.b0() && last > mapping_.b0()))
+  if (std::llabs(q - last) < kMinDeltaBytes && !(q <= mapping_.b0() && last > mapping_.b0()))
     return;
   last = q;
   net::Packet* frame = node().make_control(net::PacketType::kGfcQueue);

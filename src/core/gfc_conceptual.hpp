@@ -3,8 +3,8 @@
 //
 // Truly continuous feedback is unimplementable (and is exactly why the
 // paper moves to the practical designs); we approximate it by emitting a
-// queue-length sample whenever the occupancy moved by `min_delta_bytes`
-// since the last report. The backward-bandwidth cost this incurs is part
+// queue-length sample whenever the occupancy moved by kMinDeltaBytes since
+// the last report. The backward-bandwidth cost this incurs is part
 // of what the Figure 5 bench demonstrates.
 #pragma once
 
@@ -18,11 +18,11 @@ namespace gfc::core {
 
 class GfcConceptualModule final : public RateAdjuster {
  public:
-  GfcConceptualModule(const LinearMapping& mapping,
-                      std::int64_t min_delta_bytes = 512)
-      : RateAdjuster(net::PacketType::kGfcQueue),
-        mapping_(mapping),
-        min_delta_(min_delta_bytes) {}
+  /// Occupancy change that triggers a new queue-length report.
+  static constexpr std::int64_t kMinDeltaBytes = 512;
+
+  explicit GfcConceptualModule(const LinearMapping& mapping)
+      : RateAdjuster(net::PacketType::kGfcQueue), mapping_(mapping) {}
 
   void on_ingress_enqueue(int port, int prio, const net::Packet& pkt) override;
   void on_ingress_dequeue(int port, int prio, const net::Packet& pkt) override;
@@ -38,7 +38,6 @@ class GfcConceptualModule final : public RateAdjuster {
   void maybe_report(int port, int prio);
 
   LinearMapping mapping_;
-  std::int64_t min_delta_;
   std::vector<std::array<std::int64_t, net::kNumPriorities>> last_sent_q_;
 };
 

@@ -17,7 +17,6 @@ namespace gfc::flowctl {
 struct CbfcConfig {
   sim::TimePs period = 0;           // feedback period T
   std::int64_t buffer_bytes = 0;    // advertised per (port, prio) credit pool
-  std::int64_t block_bytes = 64;    // IB credit granularity
 
   /// Optional credit-sync cadence (0 = off): an extra full FCCL
   /// re-advertisement every sync_period. CBFC's primary advertisements are
@@ -28,9 +27,11 @@ struct CbfcConfig {
   /// fault studies. Off by default; zero keeps seed behavior bit-for-bit.
   sim::TimePs sync_period = 0;
 
-  std::int64_t buffer_blocks() const { return buffer_bytes / block_bytes; }
+  static constexpr std::int64_t kBlockBytes = 64;  // IB credit granularity
+
+  std::int64_t buffer_blocks() const { return buffer_bytes / kBlockBytes; }
   std::int64_t blocks_for(std::int64_t bytes) const {
-    return (bytes + block_bytes - 1) / block_bytes;
+    return (bytes + kBlockBytes - 1) / kBlockBytes;
   }
 };
 

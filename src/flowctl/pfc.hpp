@@ -28,11 +28,6 @@ struct PfcConfig {
 
   /// 802.1Qbb-style pause expiry; 0 = classic indefinite pauses.
   sim::TimePs pause_timeout = 0;
-
-  /// Recommended XON gap of 2 MTU below XOFF (paper Sec 4.1 / [59]).
-  static PfcConfig for_buffer(std::int64_t xoff, std::int64_t mtu = 1500) {
-    return PfcConfig{xoff, xoff - 2 * mtu};
-  }
 };
 
 class PfcModule : public LinkFcBase {

@@ -71,7 +71,7 @@ void DcfitModule::decorate_pause(net::Packet& frame, int port, int prio) {
 void DcfitModule::arm_trigger_refresh(int port, int prio) {
   auto& ev =
       refresh_[static_cast<std::size_t>(port)][static_cast<std::size_t>(prio)];
-  ev = sched().schedule_in(dcfg_.trigger_period, [this, port, prio] {
+  ev = sched().schedule_in(kTriggerPeriod, [this, port, prio] {
     refresh_[static_cast<std::size_t>(port)][static_cast<std::size_t>(prio)] =
         {};
     if (!pause_sent(port, prio)) return;

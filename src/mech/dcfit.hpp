@@ -14,7 +14,7 @@
 //    paused by the downstream, the pause is a consequence of that pause:
 //    the frame forwards the trigger recorded from the downstream's PAUSE.
 //  * Recirculate — every outstanding pause is re-sent with the *current*
-//    trigger every `trigger_period` (the DCFIT module's own refresh; the
+//    trigger every kTriggerPeriod (the DCFIT module's own refresh; the
 //    gates still hold indefinitely, so classic PFC semantics — and its
 //    deadlocks — are preserved). In a wedged cycle of N switches the
 //    triggers rotate one hop per refresh.
@@ -44,12 +44,15 @@ namespace gfc::mech {
 struct DcfitConfig {
   flowctl::PfcConfig pfc;
   runner::DcfitBreak break_policy = runner::DcfitBreak::kDropOne;
-  /// Trigger-refresh period (re-send cadence of outstanding pauses).
-  sim::TimePs trigger_period = sim::us(20);
 };
 
 class DcfitModule final : public flowctl::PfcModule {
  public:
+  /// Trigger-refresh period (re-send cadence of outstanding pauses):
+  /// recirculates triggers around a wedged PFC dependency cycle until one
+  /// returns home.
+  static constexpr sim::TimePs kTriggerPeriod = sim::us(20);
+
   explicit DcfitModule(const DcfitConfig& cfg)
       : PfcModule(cfg.pfc), dcfg_(cfg) {}
 

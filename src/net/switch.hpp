@@ -55,9 +55,8 @@ class SwitchNode final : public Node {
   void set_arch(SwitchArch a) { arch_ = a; }
   SwitchArch arch() const { return arch_; }
 
-  /// CIOQ egress output-queue byte cap per (egress, priority).
-  void set_egress_queue_cap(std::int64_t cap) { egress_cap_ = cap; }
-  std::int64_t egress_queue_cap() const { return egress_cap_; }
+  /// CIOQ egress output-queue byte cap per (egress, priority): 2 MTU.
+  static constexpr std::int64_t kEgressQueueCap = 3000;
 
   bool is_switch() const override { return true; }
   void receive(Packet* pkt, int in_port) override;
@@ -123,7 +122,8 @@ class SwitchNode final : public Node {
   std::vector<std::array<std::int64_t, kNumPriorities>> ingress_bytes_;
   /// Input FIFOs per (ingress port, priority).
   std::vector<std::array<std::deque<Packet*>, kNumPriorities>> inq_;
-  /// CIOQ egress FIFOs per (egress port, priority), bounded by egress_cap_.
+  /// CIOQ egress FIFOs per (egress port, priority), bounded by
+  /// kEgressQueueCap.
   std::vector<std::array<std::deque<Packet*>, kNumPriorities>> outq_;
   std::vector<std::array<std::int64_t, kNumPriorities>> outq_bytes_;
   /// Round-robin cursors per egress port.
@@ -142,12 +142,11 @@ class SwitchNode final : public Node {
   void fire_kicks();
 
   std::uint32_t active_prios_ = 0;  // bitmask: priorities ever seen
-  // Deferred-kick masks, FIFO, drained by the shared multishot kick timer —
-  // one firing per queued mask, in the order the dispatches armed it.
+  // Deferred-kick masks, FIFO, drained by the shared kick timer — one
+  // firing per queued mask, in the order the dispatches queued them.
   std::deque<std::uint64_t> kick_masks_;
   sim::TimerId kick_timer_{};
   SwitchArch arch_ = SwitchArch::kOutputQueuedFifo;
-  std::int64_t egress_cap_ = 3000;  // 2 MTU
   /// Per-egress RR cursor over ingress ports (dispatch arbitration).
   std::vector<int> arb_rr_;
   // Route table, flattened: per-dst (offset, count) into one contiguous

@@ -4,11 +4,9 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "analyze/mode.hpp"
 #include "core/mapping.hpp"
@@ -75,9 +73,6 @@ struct FcSetup {
   // GFC time-based / conceptual: linear-mapping knee B_0.
   std::int64_t b0 = 0;
 
-  sim::Rate min_rate = core::kDefaultMinRate;
-  std::int64_t conceptual_min_delta = 512;
-
   // Self-healing knobs (0 = off = seed behavior; see the fault studies):
   /// PFC: 802.1Qbb pause expiry + downstream refresh cadence.
   sim::TimePs pfc_pause_timeout = 0;
@@ -86,10 +81,6 @@ struct FcSetup {
 
   // DCFIT (kind == kDcfit): detect-and-break on top of classic PFC.
   DcfitBreak dcfit_break = DcfitBreak::kDropOne;
-  /// Trigger-refresh cadence: outstanding pauses are re-sent with the
-  /// current trigger every period, recirculating triggers around a wedged
-  /// PFC dependency cycle until one returns home.
-  sim::TimePs dcfit_period = sim::us(20);
 
   /// Route restriction request honored by the scenario builders (any base
   /// mechanism): replace the scenario's routing with the up*/down* CBD-free
@@ -126,13 +117,11 @@ struct FcSetup {
     s.period = period;
     return s;
   }
-  static FcSetup gfc_conceptual(std::int64_t b0, std::int64_t bm,
-                                std::int64_t min_delta = 512) {
+  static FcSetup gfc_conceptual(std::int64_t b0, std::int64_t bm) {
     FcSetup s;
     s.kind = FcKind::kGfcConceptual;
     s.b0 = b0;
     s.bm = bm;
-    s.conceptual_min_delta = min_delta;
     return s;
   }
   static FcSetup dcfit(std::int64_t xoff, std::int64_t xon,
@@ -148,33 +137,30 @@ struct FcSetup {
   /// lower), CBFC the recommended 65535 B period, buffer-based GFC
   /// B_1 = B_m - 2*C*tau, time-based GFC B_0 from Theorem 5.1. DCFIT uses
   /// the PFC thresholds (its triggers ride on the PAUSE frames).
-  /// Asserts the buffer admits a positive threshold (use try_derive when
-  /// sweeping buffers that may be too small for the given tau).
+  /// The setup is always populated, also when the buffer is too small for
+  /// the bound (B_1 <= 0 or B_0 <= 0): the static analyzer checks such
+  /// deliberately out-of-bound setups against the bound, and the GFC
+  /// mappings throw std::invalid_argument for any threshold no fabric can
+  /// run. Use try_derive when sweeping buffers that may be too small.
   /// Defined inline so header-only consumers (the static analyzer, the
   /// src/mech registry) need no gfc_runner symbols.
   static FcSetup derive(FcKind kind, std::int64_t buffer, sim::Rate c,
                         sim::TimePs tau, std::int64_t mtu = 1500);
 
-  /// Like derive(), but returns nullopt when the Theorem 4.1 / 5.1 / B_1
-  /// bound (with derive()'s packet-granularity slack) leaves no positive
-  /// threshold — i.e. the buffer is too small to run that GFC variant
-  /// safely at this rate and tau. PFC/CBFC/DCFIT/none are always derivable.
+  /// derive(), or nullopt when the Theorem 4.1 / 5.1 / B_1 bound (with
+  /// derive()'s packet-granularity slack) leaves no positive threshold —
+  /// i.e. the buffer is too small to run that GFC variant safely at this
+  /// rate and tau. PFC/CBFC/DCFIT/none are always derivable.
   static std::optional<FcSetup> try_derive(FcKind kind, std::int64_t buffer,
                                            sim::Rate c, sim::TimePs tau,
                                            std::int64_t mtu = 1500);
 };
 
-namespace detail {
-/// (setup, feasible): the setup is always populated — derive() hands it
-/// out even when the bound is violated (assert-guarded), matching the
-/// "check against a deliberately out-of-bound parameter" uses; try_derive
-/// turns infeasible into nullopt.
-inline std::pair<FcSetup, bool> derive_fc(FcKind kind, std::int64_t buffer,
-                                          sim::Rate c, sim::TimePs tau,
-                                          std::int64_t mtu) {
+inline FcSetup FcSetup::derive(FcKind kind, std::int64_t buffer, sim::Rate c,
+                               sim::TimePs tau, std::int64_t mtu) {
   switch (kind) {
     case FcKind::kNone:
-      return {FcSetup::none(), true};
+      return none();
     case FcKind::kPfc:
     case FcKind::kDcfit: {
       // C*tau of in-flight absorption plus packet-granularity slack: one
@@ -184,53 +170,51 @@ inline std::pair<FcSetup, bool> derive_fc(FcKind kind, std::int64_t buffer,
           core::bytes_over(c, tau) + 2 * mtu + 2 * net::kControlFrameBytes;
       const std::int64_t xoff =
           std::max<std::int64_t>(buffer - headroom, 2 * mtu + 1);
-      FcSetup s =
-          FcSetup::pfc(xoff, std::max<std::int64_t>(xoff - 2 * mtu, 1));
+      FcSetup s = pfc(xoff, std::max<std::int64_t>(xoff - 2 * mtu, 1));
       s.kind = kind;
-      return {s, true};
+      return s;
     }
     case FcKind::kCbfc:
-      return {FcSetup::cbfc(core::cbfc_recommended_period(c)), true};
+      return cbfc(core::cbfc_recommended_period(c));
     case FcKind::kGfcBuffer: {
       // The paper's bounds are fluid-model ("B_m can be set equal to B");
       // packets are not fluid, and the rate floor means a saturated queue
       // can creep past B_m slowly, so leave a few MTUs of slack.
       const std::int64_t bm = buffer - 4 * mtu;
-      const std::int64_t b1 = core::b1_bound_buffer(bm, c, tau) - 2 * mtu;
-      return {FcSetup::gfc_buffer(b1, bm), b1 > 0};
+      return gfc_buffer(core::b1_bound_buffer(bm, c, tau) - 2 * mtu, bm);
     }
     case FcKind::kGfcTime: {
       const sim::TimePs period = core::cbfc_recommended_period(c);
       const std::int64_t bm = buffer - 4 * mtu;
-      const std::int64_t b0 =
-          core::b0_bound_timebased(bm, c, tau, period) - 2 * mtu;
-      return {FcSetup::gfc_time(b0, bm, period), b0 > 0};
+      return gfc_time(core::b0_bound_timebased(bm, c, tau, period) - 2 * mtu,
+                      bm, period);
     }
     case FcKind::kGfcConceptual: {
       const std::int64_t bm = buffer - 4 * mtu;
-      const std::int64_t b0 = core::b0_bound_conceptual(bm, c, tau) - 2 * mtu;
-      return {FcSetup::gfc_conceptual(b0, bm), b0 > 0};
+      return gfc_conceptual(core::b0_bound_conceptual(bm, c, tau) - 2 * mtu,
+                            bm);
     }
   }
-  return {FcSetup::none(), true};
-}
-}  // namespace detail
-
-inline FcSetup FcSetup::derive(FcKind kind, std::int64_t buffer, sim::Rate c,
-                               sim::TimePs tau, std::int64_t mtu) {
-  const auto [setup, feasible] = detail::derive_fc(kind, buffer, c, tau, mtu);
-  assert(feasible && "buffer too small for this kind's safety bound");
-  (void)feasible;
-  return setup;
+  return none();
 }
 
 inline std::optional<FcSetup> FcSetup::try_derive(FcKind kind,
                                                   std::int64_t buffer,
                                                   sim::Rate c, sim::TimePs tau,
                                                   std::int64_t mtu) {
-  const auto [setup, feasible] = detail::derive_fc(kind, buffer, c, tau, mtu);
-  if (!feasible) return std::nullopt;
-  return setup;
+  const FcSetup s = derive(kind, buffer, c, tau, mtu);
+  switch (kind) {
+    case FcKind::kGfcBuffer:
+      if (s.b1 <= 0) return std::nullopt;
+      break;
+    case FcKind::kGfcTime:
+    case FcKind::kGfcConceptual:
+      if (s.b0 <= 0) return std::nullopt;
+      break;
+    default:
+      break;
+  }
+  return s;
 }
 
 struct ScenarioConfig {
@@ -240,7 +224,6 @@ struct ScenarioConfig {
   /// simulator model and the one under which the paper's deadlocks form;
   /// kCioqRoundRobin is a fair crossbar (see bench/ablation_arbitration).
   net::SwitchArch arch = net::SwitchArch::kOutputQueuedFifo;
-  std::int64_t egress_queue_bytes = 3000;  // CIOQ egress cap (2 MTU)
   FcSetup fc;
   /// Control-frame processing latency t_r (also used to pad tau up to
   /// testbed-like values).

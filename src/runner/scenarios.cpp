@@ -90,6 +90,19 @@ std::string describe_cycle(const stats::DeadlockDetector& det,
   return out;
 }
 
+void arm_flight_dump(stats::DeadlockOptions* opts, Fabric& fabric,
+                     const std::string& path) {
+  if (path.empty() || fabric.net().tracer() == nullptr) return;
+  opts->on_detect = [&fabric, path](const stats::DeadlockDetector& det) {
+    trace::dump_flight(path, fabric.net().tracer()->buffer(),
+                       fabric.node_name_fn(),
+                       "deadlock detected at " +
+                           sim::format_time(det.detected_at()) +
+                           "\nwitness cycle: " +
+                           describe_cycle(det, fabric.net()));
+  };
+}
+
 bool check_witness_cycle(Fabric& fabric, const stats::DeadlockDetector& det) {
   const analyze::Report* rep = fabric.analysis();
   if (rep == nullptr || det.cycle().empty() || rep->truncated) return false;
@@ -133,21 +146,9 @@ RunSummary run_closed_loop(FatTreeScenario& scenario, const RunOptions& opts) {
     return stats::FlowStats::default_ideal_fct(
         flow, cfg.link.rate, hops, cfg.link.prop_delay, cfg.link.mtu);
   });
-  stats::DeadlockOptions dl_opts{sim::ms(1), 3,
-                                 opts.stop_on_deadlock && !opts.recover_deadlock,
-                                 opts.recover_deadlock, {}};
-  if (!opts.flight_dump_path.empty() && net.tracer() != nullptr) {
-    Fabric& fabric = *scenario.fabric;
-    const std::string path = opts.flight_dump_path;
-    dl_opts.on_detect = [&fabric, path](const stats::DeadlockDetector& det) {
-      trace::dump_flight(path, fabric.net().tracer()->buffer(),
-                         fabric.node_name_fn(),
-                         "deadlock detected at " +
-                             sim::format_time(det.detected_at()) +
-                             "\nwitness cycle: " +
-                             describe_cycle(det, fabric.net()));
-    };
-  }
+  stats::DeadlockOptions dl_opts{!opts.recover_deadlock, opts.recover_deadlock,
+                                 {}};
+  arm_flight_dump(&dl_opts, *scenario.fabric, opts.flight_dump_path);
   int witness_checks = 0;
   if (cfg.witness_check) {
     // Compose after the flight dump so the post-mortem is on disk before a
@@ -171,8 +172,7 @@ RunSummary run_closed_loop(FatTreeScenario& scenario, const RunOptions& opts) {
   out.deadlocked = detector.deadlocked();
   out.deadlock_at = detector.detected_at();
   out.ended_at = net.sched().now();
-  out.stopped_on_deadlock = detector.deadlocked() && opts.stop_on_deadlock &&
-                            !opts.recover_deadlock;
+  out.stopped_on_deadlock = detector.deadlocked() && !opts.recover_deadlock;
   out.deadlock_detections = detector.detections();
   out.deadlock_recoveries = detector.recoveries();
   out.recovered_packets = detector.recovered_packets();

@@ -103,9 +103,8 @@ struct RunOptions {
   sim::TimePs duration = sim::ms(20);
   sim::TimePs warmup = sim::ms(1);  // excluded from bandwidth averaging
   std::uint64_t workload_seed = 42;
-  bool stop_on_deadlock = true;
-  /// Drain-and-reset confirmed deadlock cycles instead of latching/stopping
-  /// (DeadlockOptions::recover); overrides stop_on_deadlock.
+  /// Drain-and-reset confirmed deadlock cycles (DeadlockOptions::recover)
+  /// instead of stopping the run at the first confirmed deadlock.
   bool recover_deadlock = false;
   /// When non-empty and the fabric has a tracer, every confirmed deadlock
   /// detection dumps the per-node pre-stall event windows here
@@ -119,6 +118,12 @@ RunSummary run_closed_loop(FatTreeScenario& scenario, const RunOptions& opts);
 /// used as the flight-dump reason line.
 std::string describe_cycle(const stats::DeadlockDetector& det,
                            net::Network& net);
+
+/// Install a DeadlockOptions::on_detect that dumps the fabric's flight
+/// windows (pre-stall events + witness cycle) to `path` at every confirmed
+/// detection. No-op when the fabric has no tracer or `path` is empty.
+void arm_flight_dump(stats::DeadlockOptions* opts, Fabric& fabric,
+                     const std::string& path);
 
 /// Soundness oracle: map the detector's witness cycle — (node, egress
 /// port) pairs — to directed topology links, canonicalize, and require

@@ -8,7 +8,7 @@ namespace gfc::stats {
 DeadlockDetector::DeadlockDetector(net::Network& net, Options opts)
     : net_(net),
       opts_(opts),
-      probe_(net.sched(), opts.period, [this](sim::TimePs now) { scan(now); }) {}
+      probe_(net.sched(), kScanPeriod, [this](sim::TimePs now) { scan(now); }) {}
 
 bool DeadlockDetector::cycle_now(std::vector<std::pair<net::NodeId, int>>* cycle) {
   const sim::TimePs now = net_.sched().now();
@@ -101,7 +101,7 @@ void DeadlockDetector::scan(sim::TimePs now) {
   std::vector<std::pair<net::NodeId, int>> cycle;
   if (cycle_now(&cycle)) {
     ++consecutive_;
-    if (consecutive_ >= opts_.confirm_scans) {
+    if (consecutive_ >= kConfirmScans) {
       ++detections_;
       if (detected_at_ < 0) {
         detected_at_ = now;  // first confirmation, kept across recoveries

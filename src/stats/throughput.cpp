@@ -13,7 +13,6 @@ std::int64_t ThroughputSampler::key_of(const net::Packet& pkt) const {
     case Key::kAggregate: return 0;
     case Key::kPerFlow: return pkt.flow;
     case Key::kPerSrcHost: return pkt.src;
-    case Key::kPerDstHost: return pkt.dst;
   }
   return 0;
 }

@@ -12,7 +12,7 @@ namespace gfc::stats {
 
 class ThroughputSampler final : public net::DeliveryListener {
  public:
-  enum class Key { kAggregate, kPerFlow, kPerSrcHost, kPerDstHost };
+  enum class Key { kAggregate, kPerFlow, kPerSrcHost };
 
   ThroughputSampler(net::Network& net, sim::TimePs bin_width,
                     Key key = Key::kAggregate);

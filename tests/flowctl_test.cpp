@@ -151,12 +151,6 @@ TEST(CbfcConfig, BlockMath) {
   EXPECT_EQ(cfg.blocks_for(1500), 24);
 }
 
-TEST(PfcConfig, ForBufferUsesTwoMtuGap) {
-  const PfcConfig cfg = PfcConfig::for_buffer(80'000);
-  EXPECT_EQ(cfg.xoff_bytes, 80'000);
-  EXPECT_EQ(cfg.xon_bytes, 77'000);
-}
-
 // Parameterized lossless sweep: every mechanism must keep the invariant
 // across buffer sizes in a 2-to-1 incast (persistent congestion).
 // Time-based GFC at 100 KB runs outside Theorem 5.1's bound: no b0 >= 0
@@ -169,11 +163,14 @@ TEST_P(LosslessSweep, NoViolationsUnderIncast) {
   const auto [kind, buffer] = GetParam();
   runner::ScenarioConfig cfg;
   cfg.switch_buffer = buffer;
-  auto [setup, feasible] = runner::detail::derive_fc(
+  runner::FcSetup setup = runner::FcSetup::derive(
       kind, buffer, cfg.link.rate, cfg.tau(), cfg.link.mtu);
   const bool outside_bound =
       kind == runner::FcKind::kGfcTime && buffer == 100'000;
-  EXPECT_EQ(feasible, !outside_bound);
+  EXPECT_EQ(runner::FcSetup::try_derive(kind, buffer, cfg.link.rate,
+                                        cfg.tau(), cfg.link.mtu)
+                .has_value(),
+            !outside_bound);
   if (outside_bound) {
     EXPECT_LT(setup.b0, 0);
     setup.b0 = 0;

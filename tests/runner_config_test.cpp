@@ -44,11 +44,10 @@ TEST(FcSetupFactories, NamedConstructorsFillTheRightFields) {
   EXPECT_EQ(gt.bm, 300'000);
   EXPECT_EQ(gt.period, sim::us(52.4));
 
-  const FcSetup gc = FcSetup::gfc_conceptual(100'000, 200'000, 1024);
+  const FcSetup gc = FcSetup::gfc_conceptual(100'000, 200'000);
   EXPECT_EQ(gc.kind, FcKind::kGfcConceptual);
   EXPECT_EQ(gc.b0, 100'000);
   EXPECT_EQ(gc.bm, 200'000);
-  EXPECT_EQ(gc.conceptual_min_delta, 1024);
 }
 
 TEST(FcSetupFactories, FcNames) {
@@ -117,15 +116,15 @@ TEST(FcSetupDerive, GfcConceptualSatisfiesTheorem41) {
 }
 
 TEST(FcSetupDerive, FabricRejectsGfcTimeSetupWithNegativeB0) {
-  // At 100 KB no B_0 >= 0 meets Theorem 5.1, and derive_fc's setup carries
-  // a negative one. Building a fabric from it must fail in every build
-  // type, not simulate a mapping outside its domain.
+  // At 100 KB no B_0 >= 0 meets Theorem 5.1: try_derive refuses, and
+  // derive's setup carries a negative one. Building a fabric from it must
+  // fail in every build type, not simulate a mapping outside its domain.
   ScenarioConfig cfg;
   cfg.switch_buffer = 100'000;
-  const auto [setup, feasible] =
-      detail::derive_fc(FcKind::kGfcTime, cfg.switch_buffer, cfg.link.rate,
-                        cfg.tau(), cfg.link.mtu);
-  ASSERT_FALSE(feasible);
+  ASSERT_FALSE(FcSetup::try_derive(FcKind::kGfcTime, cfg.switch_buffer,
+                                   cfg.link.rate, cfg.tau(), cfg.link.mtu));
+  const FcSetup setup = FcSetup::derive(FcKind::kGfcTime, cfg.switch_buffer,
+                                        cfg.link.rate, cfg.tau(), cfg.link.mtu);
   ASSERT_LT(setup.b0, 0);
   cfg.fc = setup;
   topo::Topology topo;

@@ -42,10 +42,13 @@
 //                    suppresses the human report)
 //   --fail           exit 3 when the verdict is at_risk
 //
-// Exit status: 0 ok, 2 usage error, 3 at-risk verdict under --fail.
+// Exit status: 0 ok, 2 usage error or a mechanism setup no fabric can run
+// (e.g. a GFC threshold outside its mapping's domain), 3 at-risk verdict
+// under --fail.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "analyze/analyze.hpp"
@@ -53,6 +56,7 @@
 #include "analyze/scenario.hpp"
 #include "analyze/sweep.hpp"
 #include "mech/cbd_routing.hpp"
+#include "runner/fabric.hpp"
 
 using namespace gfc;
 
@@ -204,6 +208,15 @@ int main(int argc, char** argv) {
   if (xoff >= 0) cfg.fc.xoff = xoff;
   if (xon >= 0) cfg.fc.xon = xon;
   if (period_us >= 0) cfg.fc.period = sim::us(period_us);
+  // Build the flow-control module a fabric would build from this setup: its
+  // GFC mapping rejects thresholds outside the mapping's domain (B_0 < 0,
+  // B_1 <= 0, ...), which no fabric can run, so no verdict is issued.
+  try {
+    runner::make_fc_module(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   analyze::Input in;
   in.topo = &scenario.topo;
