@@ -76,6 +76,82 @@ void BM_PacketPoolCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketPoolCycle);
 
+// Queue-layer benches: packets go through a node's own enqueue and
+// poll_data with the node's egress link down, so the port never pulls on
+// its own and no wire or transmit timer runs. What is timed is the node's
+// queue work: routing, ingress accounting, FIFO push and pop, the
+// round-robin walk over priorities and (CIOQ) the crossbar dispatch.
+constexpr int kQueueBatch = 32;
+
+net::Packet* make_bench_packet(net::Network& net, net::NodeId dst, int i) {
+  net::Packet* p = net.pool().acquire();
+  p->size_bytes = 1000;
+  p->priority = static_cast<std::uint8_t>(i % 2 == 0 ? 0 : 3);
+  p->dst = dst;
+  return p;
+}
+
+void BM_SwitchForward(benchmark::State& state, net::SwitchArch arch) {
+  // One switch, three hosts: data arrives on ports 0 and 1 (two
+  // priorities) and leaves on port 2 toward H2.
+  net::Network net;
+  std::vector<net::NodeId> hosts;
+  for (int i = 0; i < 3; ++i)
+    hosts.push_back(net.add_host("H" + std::to_string(i)).id());
+  net::SwitchNode& sw = net.add_switch("S", 1'000'000);
+  sw.set_arch(arch);
+  for (const net::NodeId h : hosts) net.connect(h, sw.id(), sim::gbps(10), 0);
+  sw.set_route(hosts[2], {2});
+  net.set_link_state(sw.id(), hosts[2], false);
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < kQueueBatch; ++i)
+      sw.receive(make_bench_packet(net, hosts[2], i), i % 2);
+    // CIOQ defers its egress wake-ups to same-instant events.
+    net.run_until(net.sched().now());
+    sim::TimePs wake_at = sim::kTimeNever;
+    bool waiting = false;
+    while (net::Packet* p = sw.poll_data(2, net.sched().now(), &wake_at,
+                                         /*consume=*/true, &waiting)) {
+      benchmark::DoNotOptimize(p);
+      bytes += p->size_bytes;
+      sw.on_departure(*p, 2);
+      net.free_packet(p);
+    }
+    net.run_until(net.sched().now());
+  }
+  benchmark::DoNotOptimize(bytes);
+  state.SetItemsProcessed(state.iterations() * kQueueBatch);
+}
+BENCHMARK_CAPTURE(BM_SwitchForward, oq, net::SwitchArch::kOutputQueuedFifo);
+BENCHMARK_CAPTURE(BM_SwitchForward, cioq, net::SwitchArch::kCioqRoundRobin);
+
+void BM_HostNicSend(benchmark::State& state) {
+  // NIC FIFOs on two priorities: inject, then drain through poll_data.
+  net::Network net;
+  net::HostNode& h = net.add_host("H");
+  const net::NodeId peer = net.add_host("P").id();
+  net.connect(h.id(), peer, sim::gbps(10), 0);
+  net.set_link_state(h.id(), peer, false);
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < kQueueBatch; ++i)
+      h.inject(make_bench_packet(net, peer, i));
+    sim::TimePs wake_at = sim::kTimeNever;
+    bool waiting = false;
+    while (net::Packet* p = h.poll_data(h.uplink_port(), net.sched().now(),
+                                        &wake_at, /*consume=*/true,
+                                        &waiting)) {
+      benchmark::DoNotOptimize(p);
+      bytes += p->size_bytes;
+      net.free_packet(p);
+    }
+  }
+  benchmark::DoNotOptimize(bytes);
+  state.SetItemsProcessed(state.iterations() * kQueueBatch);
+}
+BENCHMARK(BM_HostNicSend);
+
 void BM_RateLimiter(benchmark::State& state) {
   core::RateLimiter lim(sim::gbps(5));
   sim::TimePs now = 0;
