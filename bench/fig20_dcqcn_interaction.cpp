@@ -21,9 +21,7 @@ int main(int argc, char** argv) {
   cfg.arch = net::SwitchArch::kCioqRoundRobin;
   cfg.fc = FcSetup::derive(FcKind::kGfcBuffer, cfg.switch_buffer,
                            cfg.link.rate, cfg.tau());
-  cfg.ecn.enabled = true;
-  cfg.ecn.kmin = 40'000;
-  cfg.ecn.kmax = 40'000;
+  cfg.ecn.threshold = 40'000;
   auto s = make_incast(cfg, 8);
   net::Network& net = s.fabric->net();
   cc::DcqcnConfig dc;

@@ -18,8 +18,7 @@ int main() {
   cfg.fc = runner::FcSetup::derive(runner::FcKind::kGfcBuffer,
                                    cfg.switch_buffer, cfg.link.rate,
                                    cfg.tau());
-  cfg.ecn.enabled = true;
-  cfg.ecn.kmin = cfg.ecn.kmax = 40'000;
+  cfg.ecn.threshold = 40'000;
   auto s = runner::make_incast(cfg, 8);
   net::Network& net = s.fabric->net();
 

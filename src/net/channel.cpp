@@ -12,9 +12,7 @@ Channel::Channel(Network& net, Node& dst, int dst_port, sim::TimePs prop_delay)
       dst_port_(dst_port),
       prop_delay_(prop_delay) {}
 
-void Channel::flight_arrival() {
-  Packet* pkt = flight_.front();
-  flight_.pop_front();
+void Channel::arrive(Packet* pkt) {
   // Arrival-time check: a link that went down mid-propagation loses the
   // frame (both PHYs are gone; there is no store-and-forward on a wire).
   if (!up_) {
@@ -34,21 +32,13 @@ void Channel::propagate(Packet* pkt, sim::TimePs delay) {
     // schedule_in took it, so arrival order is byte-identical.
     sim::Scheduler& sched = dst_.sched_ref();
     if (!flight_timer_.valid())
-      flight_timer_ = sched.register_timer([this] { flight_arrival(); });
+      flight_timer_ =
+          sched.register_timer([this] { arrive(flight_.pop_front()); });
     flight_.push_back(pkt);
     sched.fire_at(flight_timer_, sched.now() + delay);
     return;
   }
-  net_.sched().schedule_in(delay, [this, pkt] {
-    if (!up_) {
-      ++net_.counters().wire_lost_packets;
-      net_.trace_event(trace::EventType::kWireLost, dst_.id(), dst_port_,
-                       pkt->priority, pkt->id, pkt->size_bytes);
-      net_.free_packet(pkt);
-      return;
-    }
-    dst_.receive(pkt, dst_port_);
-  });
+  net_.sched().schedule_in(delay, [this, pkt] { arrive(pkt); });
 }
 
 void Channel::deliver(Packet* pkt) {

@@ -1,6 +1,9 @@
 // Unidirectional wire: fixed propagation delay to a (node, port) endpoint.
 // Serialization happens at the egress port; the channel only delays
-// delivery, so any number of packets may be "on the wire" at once.
+// delivery, so any number of packets may be "on the wire" at once. They
+// ride a PacketFifo in send order; a fault-delayed frame, which can
+// overtake, rides its own one-shot event instead. Both end in one arrival
+// check.
 //
 // The channel is also where runtime faults live: link-control frames are
 // offered to the Network's ControlFaultHook (drop / duplicate / delay) as
@@ -8,8 +11,6 @@
 // when the propagation delay elapses — exactly the failure mode that makes
 // edge-triggered protocols (PFC) lose XOFF/XON state.
 #pragma once
-
-#include <deque>
 
 #include "net/packet.hpp"
 #include "sim/scheduler.hpp"
@@ -38,7 +39,8 @@ class Channel {
 
  private:
   void propagate(Packet* pkt, sim::TimePs delay);
-  void flight_arrival();
+  /// A packet reaches the far end: lost if the link went down meanwhile.
+  void arrive(Packet* pkt);
 
   Network& net_;
   Node& dst_;
@@ -49,7 +51,7 @@ class Channel {
   // monotonic clock), so one registered timer pops this queue head per
   // firing instead of each packet carrying its own one-shot closure.
   // Fault-delayed frames break FIFO and keep the one-shot path.
-  std::deque<Packet*> flight_;
+  PacketFifo flight_;
   sim::TimerId flight_timer_{};  // registered on the first fixed-delay send
 };
 

@@ -1,7 +1,6 @@
 #include "net/host.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 #include "net/network.hpp"
@@ -65,13 +64,10 @@ void HostNode::stage_next(std::size_t idx) {
 
 void HostNode::enqueue(Packet* pkt) {
   assert(!pkt->is_control());
-  auto& q = nic_[static_cast<std::size_t>(pkt->priority)];
-  if (q == nullptr) q = std::make_unique<NicQueue>();
-  q->fifo.push_back(pkt);
-  q->bytes += pkt->size_bytes;
-  nonempty_prios_ |= 1u << pkt->priority;
+  nic_.push(pkt);
   network().trace_event(trace::EventType::kPortEnqueue, id(), uplink_port(),
-                        pkt->priority, pkt->id, q->bytes);
+                        pkt->priority, pkt->id,
+                        nic_.fifo(pkt->priority).bytes());
   port(uplink_port()).kick();
 }
 
@@ -79,29 +75,8 @@ Packet* HostNode::poll_data(int egress_port, sim::TimePs now,
                             sim::TimePs* wake_at, bool consume,
                             bool* any_waiting) {
   if (egress_port != uplink_port()) return nullptr;
-  TxGate& gate = port(egress_port).gate();
-  // Round-robin over priorities (no head-of-line blocking across classes).
-  // Rotate the nonempty mask so bit k stands for priority (rr_prio_ + k);
-  // walking its set bits visits exactly the prios a full scan would.
-  std::uint32_t rot = ((nonempty_prios_ >> rr_prio_) |
-                       (nonempty_prios_ << (kNumPriorities - rr_prio_))) &
-                      ((1u << kNumPriorities) - 1);
-  while (rot != 0) {
-    const int step = std::countr_zero(rot);
-    rot &= rot - 1;
-    const int prio = (rr_prio_ + step) % kNumPriorities;
-    NicQueue& q = *nic_[static_cast<std::size_t>(prio)];
-    Packet* pkt = q.fifo.front();
-    *any_waiting = true;
-    if (!gate.allowed(*pkt, now, wake_at)) continue;
-    if (!consume) return pkt;
-    q.fifo.pop_front();
-    q.bytes -= pkt->size_bytes;
-    if (q.fifo.empty()) nonempty_prios_ &= ~(1u << prio);
-    rr_prio_ = (prio + 1) % kNumPriorities;
-    return pkt;
-  }
-  return nullptr;
+  return nic_.poll(port(egress_port).gate(), now, wake_at, consume,
+                   any_waiting);
 }
 
 void HostNode::on_departure(Packet& pkt, int /*out_port*/) {

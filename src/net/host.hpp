@@ -3,15 +3,12 @@
 // Sending keeps at most one packet per active flow staged in the NIC egress
 // queue; the next packet is staged when the previous one departs (plus any
 // pacing delay demanded by the flow's send_rate — the DCQCN knob). The NIC
-// queue is one FIFO per priority, served round-robin over priorities, and
-// the uplink port pulls from it through poll_data, gated by the link-level
-// flow control exactly like a switch port, so PFC can pause a host and GFC
-// can rate it.
+// queue is the same PrioQueues set a switch egress uses (one FIFO per
+// priority, round-robin over priorities), and the uplink port pulls from it
+// through poll_data, gated by the link-level flow control exactly like a
+// switch port, so PFC can pause a host and GFC can rate it.
 #pragma once
 
-#include <array>
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "net/flow.hpp"
@@ -53,12 +50,6 @@ class HostNode final : public Node {
     sim::EventId timer{};     // pending pacing timer
   };
 
-  /// Per-priority NIC FIFO; `bytes` is its queued total.
-  struct NicQueue {
-    std::deque<Packet*> fifo;
-    std::int64_t bytes = 0;
-  };
-
   /// Queue a data packet (or CNP) in the NIC and kick the uplink.
   void enqueue(Packet* pkt);
   void stage_next(std::size_t idx);
@@ -66,13 +57,7 @@ class HostNode final : public Node {
   void drop_sender(std::size_t idx);
 
   std::vector<SenderFlow> sending_;
-  // Created on first use: most hosts send on one or two priorities, and an
-  // eagerly built deque allocates even while empty.
-  std::array<std::unique_ptr<NicQueue>, kNumPriorities> nic_;
-  int rr_prio_ = 0;  // round-robin pointer over priorities
-  // Bit p set iff nic_[p] holds packets; the scan walks set bits only, in
-  // rr order.
-  std::uint32_t nonempty_prios_ = 0;
+  PrioQueues nic_;
   std::int64_t mtu_ = 1500;
 };
 

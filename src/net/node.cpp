@@ -1,10 +1,34 @@
 #include "net/node.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "net/network.hpp"
 
 namespace gfc::net {
+
+Packet* PrioQueues::poll(TxGate& gate, sim::TimePs now, sim::TimePs* wake_at,
+                         bool consume, bool* any_waiting) {
+  // Rotate the non-empty mask so bit k stands for priority (rr_ + k);
+  // walking its set bits visits exactly the priorities a full round-robin
+  // scan would find non-empty, in the same order.
+  std::uint32_t rot =
+      ((nonempty_ >> rr_) | (nonempty_ << (kNumPriorities - rr_))) &
+      ((1u << kNumPriorities) - 1);
+  while (rot != 0) {
+    const int prio = (rr_ + std::countr_zero(rot)) % kNumPriorities;
+    rot &= rot - 1;
+    Packet* head = q_[static_cast<std::size_t>(prio)].front();
+    *any_waiting = true;
+    if (!gate.allowed(*head, now, wake_at)) continue;
+    if (consume) {
+      pop(prio);
+      rr_ = (prio + 1) % kNumPriorities;
+    }
+    return head;
+  }
+  return nullptr;
+}
 
 Node::Node(Network& net, NodeId id, std::string name)
     : net_(net), sched_(&net.sched()), id_(id), name_(std::move(name)) {}

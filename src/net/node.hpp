@@ -1,6 +1,7 @@
 // Node base class: anything with ports (switches, hosts).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,40 @@
 namespace gfc::net {
 
 class Network;
+
+/// One PacketFifo per priority, served round-robin over the non-empty
+/// priorities: the service order of every node's egress data queues.
+class PrioQueues {
+ public:
+  const PacketFifo& fifo(int prio) const {
+    return q_[static_cast<std::size_t>(prio)];
+  }
+
+  void push(Packet* pkt) {
+    q_[pkt->priority].push_back(pkt);
+    nonempty_ |= 1u << pkt->priority;
+  }
+
+  /// Remove the head of priority `prio`, which must hold packets.
+  Packet* pop(int prio) {
+    PacketFifo& q = q_[static_cast<std::size_t>(prio)];
+    Packet* pkt = q.pop_front();
+    if (q.empty()) nonempty_ &= ~(1u << prio);
+    return pkt;
+  }
+
+  /// Node::poll_data over these queues: offer each non-empty priority's
+  /// head to `gate`, starting at the round-robin cursor, and return the
+  /// first one it lets through. With `consume` that packet is removed and
+  /// the cursor moves past its priority.
+  Packet* poll(TxGate& gate, sim::TimePs now, sim::TimePs* wake_at,
+               bool consume, bool* any_waiting);
+
+ private:
+  std::array<PacketFifo, kNumPriorities> q_;
+  std::uint32_t nonempty_ = 0;  // bit p set iff q_[p] holds packets
+  int rr_ = 0;                  // priority the next walk starts at
+};
 
 class Node {
  public:

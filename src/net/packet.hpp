@@ -79,8 +79,42 @@ struct Packet {
 
   sim::TimePs created_at = 0;  // for latency accounting
 
+  /// PacketFifo link. A packet sits in at most one queue at a time (a node
+  /// FIFO, a control lane or a wire), so one link serves them all.
+  Packet* next = nullptr;
+
   /// True for frames that bypass data queues at the egress port.
   bool is_control() const { return is_link_control(type); }
+};
+
+/// FIFO of packets linked through Packet::next, with its byte total. It
+/// allocates nothing: an empty queue is three words.
+class PacketFifo {
+ public:
+  bool empty() const { return head_ == nullptr; }
+  Packet* front() const { return head_; }
+  std::int64_t bytes() const { return bytes_; }
+
+  void push_back(Packet* pkt) {
+    pkt->next = nullptr;
+    (tail_ != nullptr ? tail_->next : head_) = pkt;
+    tail_ = pkt;
+    bytes_ += pkt->size_bytes;
+  }
+
+  /// Remove and return the head; the queue must not be empty.
+  Packet* pop_front() {
+    Packet* pkt = head_;
+    head_ = pkt->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    bytes_ -= pkt->size_bytes;
+    return pkt;
+  }
+
+ private:
+  Packet* head_ = nullptr;
+  Packet* tail_ = nullptr;
+  std::int64_t bytes_ = 0;
 };
 
 /// Free-list pool. Packets are created/destroyed at very high rate; the

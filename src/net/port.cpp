@@ -68,9 +68,7 @@ void EgressPort::try_transmit() {
   // Control frames bypass data queues and all gating.
   if (!control_q_.empty()) {
     cancel_wake();
-    Packet* pkt = control_q_.front();
-    control_q_.pop_front();
-    start_tx(pkt, /*control=*/true);
+    start_tx(control_q_.pop_front(), /*control=*/true);
     return;
   }
 

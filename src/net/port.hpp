@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "net/packet.hpp"
@@ -105,7 +104,7 @@ class EgressPort {
   sim::Rate rate_;
   Channel* channel_ = nullptr;
 
-  std::deque<Packet*> control_q_;
+  PacketFifo control_q_;
 
   std::unique_ptr<TxGate> gate_;
   bool link_up_ = true;

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdio>
+#include <utility>
 
 #include "net/ecmp.hpp"
 #include "net/network.hpp"
@@ -19,9 +20,7 @@ void SwitchNode::ensure_tables() {
     ingress_bytes_.resize(n);
     inq_.resize(n);
     outq_.resize(n);
-    outq_bytes_.resize(n);
     rr_.resize(n);
-    arb_rr_.resize(n, 0);
     assert(n <= 64 && "dispatch bitmasks assume <= 64 ports");
   }
 }
@@ -63,19 +62,18 @@ void SwitchNode::head_targets(int in_port, std::vector<int>* out) const {
   out->clear();
   if (static_cast<std::size_t>(in_port) >= inq_.size()) return;
   // Input-queue heads wait on the egress their route selected.
-  for (const auto& q : inq_[static_cast<std::size_t>(in_port)])
+  for (const PacketFifo& q : inq_[static_cast<std::size_t>(in_port)])
     if (!q.empty()) out->push_back(q.front()->out_port);
   // Already-dispatched packets wait inside their egress output queue.
   for (std::size_t e = 0; e < outq_.size(); ++e) {
     bool holds = false;
-    for (const auto& q : outq_[e]) {
-      for (const Packet* p : q)
+    for (int prio = 0; prio < kNumPriorities && !holds; ++prio)
+      for (const Packet* p = outq_[e].fifo(prio).front(); p != nullptr;
+           p = p->next)
         if (p->ingress_port == in_port) {
           holds = true;
           break;
         }
-      if (holds) break;
-    }
     if (holds) out->push_back(static_cast<int>(e));
   }
 }
@@ -101,16 +99,9 @@ void SwitchNode::account_enqueue(Packet& pkt, int in_port) {
 }
 
 void SwitchNode::maybe_mark_ecn(Packet& pkt, int in_port) {
-  if (!ecn_.enabled) return;
-  const std::int64_t q = ingress_bytes(in_port, pkt.priority);
-  if (q <= ecn_.kmin) return;
-  if (q >= ecn_.kmax) {
-    if (ecn_.pmax >= 1.0 || network().rng().chance(ecn_.pmax)) pkt.ecn_ce = true;
-    return;
-  }
-  const double p = ecn_.pmax * static_cast<double>(q - ecn_.kmin) /
-                   static_cast<double>(ecn_.kmax - ecn_.kmin);
-  if (network().rng().chance(p)) pkt.ecn_ce = true;
+  if (ecn_.threshold > 0 &&
+      ingress_bytes(in_port, pkt.priority) > ecn_.threshold)
+    pkt.ecn_ce = true;
 }
 
 void SwitchNode::receive(Packet* pkt, int in_port) {
@@ -134,24 +125,19 @@ void SwitchNode::receive(Packet* pkt, int in_port) {
   maybe_mark_ecn(*pkt, in_port);
   active_prios_ |= 1u << pkt->priority;
   // Output-queued: straight into the egress FIFO, arrival order.
-  auto& q = arch_ == SwitchArch::kOutputQueuedFifo
-                ? outq_[static_cast<std::size_t>(out)]
-                       [static_cast<std::size_t>(pkt->priority)]
-                : inq_[static_cast<std::size_t>(in_port)]
-                      [static_cast<std::size_t>(pkt->priority)];
-  q.push_back(pkt);
-  if (arch_ == SwitchArch::kOutputQueuedFifo)
-    outq_bytes_[static_cast<std::size_t>(out)]
-               [static_cast<std::size_t>(pkt->priority)] += pkt->size_bytes;
+  const PacketFifo* q = nullptr;
+  if (arch_ == SwitchArch::kOutputQueuedFifo) {
+    outq_[static_cast<std::size_t>(out)].push(pkt);
+    q = &outq_[static_cast<std::size_t>(out)].fifo(pkt->priority);
+  } else {
+    PacketFifo& in = inq_[static_cast<std::size_t>(in_port)]
+                         [static_cast<std::size_t>(pkt->priority)];
+    in.push_back(pkt);
+    q = &in;
+  }
   if (fc()) fc()->on_ingress_enqueue(in_port, pkt->priority, *pkt);
   // Only a fresh head can unblock anything.
-  if (q.size() == 1) {
-    if (arch_ == SwitchArch::kCioqRoundRobin) {
-      dispatch(out);
-    } else {
-      port(out).kick();
-    }
-  }
+  if (q->front() == pkt) wake_egress(out);
 }
 
 void SwitchNode::dispatch(int seed_egress) {
@@ -161,11 +147,11 @@ void SwitchNode::dispatch(int seed_egress) {
   while (pending != 0) {
     const int e = __builtin_ctzll(pending);
     pending &= pending - 1;
-    auto& cursor = arb_rr_[static_cast<std::size_t>(e)];
+    int& cursor = rr_[static_cast<std::size_t>(e)].in;
+    PrioQueues& oqs = outq_[static_cast<std::size_t>(e)];
     for (int prio = 0; prio < kNumPriorities; ++prio) {
       if ((active_prios_ & (1u << prio)) == 0) continue;
-      auto& oq = outq_[static_cast<std::size_t>(e)][static_cast<std::size_t>(prio)];
-      auto& ob = outq_bytes_[static_cast<std::size_t>(e)][static_cast<std::size_t>(prio)];
+      const PacketFifo& oq = oqs.fifo(prio);
       // Admit competing input-queue heads round-robin while there is room.
       bool progress = true;
       while (progress) {
@@ -173,16 +159,15 @@ void SwitchNode::dispatch(int seed_egress) {
         for (int step = 0; step < ports; ++step) {
           int in = cursor + step;
           if (in >= ports) in -= ports;  // cursor + step < 2*ports
-          auto& q =
+          PacketFifo& q =
               inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
           if (q.empty() || q.front()->out_port != e) continue;
           Packet* head = q.front();
           // Head-of-line rule: a full output queue blocks this whole input
           // FIFO (for this priority). An empty output queue always accepts.
-          if (!oq.empty() && ob + head->size_bytes > kEgressQueueCap) break;
-          q.pop_front();
-          oq.push_back(head);
-          ob += head->size_bytes;
+          if (!oq.empty() && oq.bytes() + head->size_bytes > kEgressQueueCap)
+            break;
+          oqs.push(q.pop_front());
           kicked |= 1ull << static_cast<unsigned>(e);
           cursor = in + 1 == ports ? 0 : in + 1;
           progress = true;
@@ -194,62 +179,38 @@ void SwitchNode::dispatch(int seed_egress) {
       }
     }
   }
-  if (kicked != 0) {
-    // Wake receiving egresses after the current call stack (this may run
-    // inside one of their transmit paths) unwinds. Each dispatch queues its
-    // own mask and fires the shared kick timer at `now`: firings execute in
-    // fire_at (sequence) order and the masks pop FIFO, so each firing sees
-    // exactly the mask the per-firing closure used to capture.
-    if (!kick_timer_.valid())
-      kick_timer_ = sched_ref().register_timer([this] { fire_kicks(); });
-    kick_masks_.push_back(kicked);
-    sched_ref().fire_at(kick_timer_, sched_ref().now());
-  }
+  // Wake receiving egresses after the current call stack (this may run
+  // inside one of their transmit paths) unwinds.
+  if (kicked == 0) return;
+  sched_ref().schedule_in(0, [this, kicked]() mutable {
+    for (; kicked != 0; kicked &= kicked - 1)
+      port(std::countr_zero(kicked)).kick();
+  });
 }
 
-void SwitchNode::fire_kicks() {
-  const std::uint64_t kicked = kick_masks_.front();
-  kick_masks_.pop_front();
-  for (int e = 0; e < port_count(); ++e)
-    if (kicked & (1ull << static_cast<unsigned>(e))) port(e).kick();
+void SwitchNode::wake_egress(int egress) {
+  if (arch_ == SwitchArch::kCioqRoundRobin) {
+    dispatch(egress);
+  } else {
+    port(egress).kick();
+  }
 }
 
 Packet* SwitchNode::poll_data(int egress_port, sim::TimePs now,
                               sim::TimePs* wake_at, bool consume,
                               bool* any_waiting) {
   ensure_tables();
-  EgressRr& rr = rr_[static_cast<std::size_t>(egress_port)];
   TxGate& gate = port(egress_port).gate();
-
   if (arch_ != SwitchArch::kInputQueued) {
-    // Walk active_prios_ set bits in rr order (bit k of the rotated mask is
-    // priority rr.prio + k) — same visit order as the full 8-step scan.
-    std::uint32_t prot = ((active_prios_ >> rr.prio) |
-                          (active_prios_ << (kNumPriorities - rr.prio))) &
-                         ((1u << kNumPriorities) - 1);
-    while (prot != 0) {
-      const int pstep = std::countr_zero(prot);
-      prot &= prot - 1;
-      const int prio = (rr.prio + pstep) % kNumPriorities;
-      auto& q = outq_[static_cast<std::size_t>(egress_port)]
-                     [static_cast<std::size_t>(prio)];
-      if (q.empty()) continue;
-      Packet* head = q.front();
-      if (any_waiting != nullptr) *any_waiting = true;
-      if (!gate.allowed(*head, now, wake_at)) continue;
-      if (!consume) return head;
-      q.pop_front();
-      outq_bytes_[static_cast<std::size_t>(egress_port)]
-                 [static_cast<std::size_t>(prio)] -= head->size_bytes;
-      rr.prio = (prio + 1) % kNumPriorities;
-      if (arch_ == SwitchArch::kCioqRoundRobin)
-        dispatch(egress_port);  // freed room: pull waiting input heads in
-      return head;
-    }
-    return nullptr;
+    Packet* head = outq_[static_cast<std::size_t>(egress_port)].poll(
+        gate, now, wake_at, consume, any_waiting);
+    if (head != nullptr && consume && arch_ == SwitchArch::kCioqRoundRobin)
+      dispatch(egress_port);  // freed room: pull waiting input heads in
+    return head;
   }
 
   // Pure input-queued (ablation): pull competing input heads directly.
+  EgressRr& rr = rr_[static_cast<std::size_t>(egress_port)];
   const int ports = port_count();
   for (int pstep = 0; pstep < kNumPriorities; ++pstep) {
     const int prio = (rr.prio + pstep) % kNumPriorities;
@@ -257,11 +218,12 @@ Packet* SwitchNode::poll_data(int egress_port, sim::TimePs now,
     for (int istep = 0; istep < ports; ++istep) {
       int in = rr.in + istep;
       if (in >= ports) in -= ports;  // rr.in + istep < 2*ports
-      auto& q = inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
+      PacketFifo& q =
+          inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
       if (q.empty()) continue;
       Packet* head = q.front();
       if (head->out_port != egress_port) continue;
-      if (any_waiting != nullptr) *any_waiting = true;
+      *any_waiting = true;
       if (!gate.allowed(*head, now, wake_at)) continue;  // HOL: FIFO waits
       if (!consume) return head;
       q.pop_front();
@@ -299,145 +261,108 @@ void SwitchNode::on_departure(Packet& pkt, int /*out_port*/) {
   release_ingress(pkt);
 }
 
+void SwitchNode::discard(Packet* pkt) {
+  network().trace_event(trace::EventType::kDrop, id(), pkt->out_port,
+                        pkt->priority, pkt->id, pkt->size_bytes);
+  release_ingress(*pkt);
+  network().free_packet(pkt);
+}
+
 void SwitchNode::reroute_stranded() {
   ensure_tables();
   const int ports = port_count();
   std::uint64_t kicked = 0;
-  const auto drop = [this](Packet* p) {
-    ++network().counters().failover_drops;
-    network().trace_event(trace::EventType::kDrop, id(), p->out_port,
-                          p->priority, p->id, p->size_bytes);
-    release_ingress(*p);
-    network().free_packet(p);
+  // New ECMP choice for a packet whose egress is down; false once it has
+  // been dropped for want of a live route.
+  const auto retarget = [this, &kicked](Packet* p) {
+    const int out = route_for(*p);
+    if (out < 0 || !port(out).link_up()) {
+      ++network().counters().failover_drops;
+      discard(p);
+      return false;
+    }
+    p->out_port = out;
+    kicked |= 1ull << static_cast<unsigned>(out);
+    return true;
   };
-  // Output queues behind dead links: pull everything out and requeue on the
-  // freshly routed egress (arrival order preserved within each queue).
+  // Output queues behind dead links: requeue everything on the freshly
+  // routed egress (arrival order preserved within each queue).
   for (int e = 0; e < ports; ++e) {
     if (port(e).link_up()) continue;
-    for (int prio = 0; prio < kNumPriorities; ++prio) {
-      auto& q = outq_[static_cast<std::size_t>(e)][static_cast<std::size_t>(prio)];
-      if (q.empty()) continue;
-      std::deque<Packet*> stranded;
-      stranded.swap(q);
-      outq_bytes_[static_cast<std::size_t>(e)][static_cast<std::size_t>(prio)] = 0;
-      for (Packet* p : stranded) {
-        const int out = route_for(*p);
-        if (out < 0 || !port(out).link_up()) {
-          drop(p);
-          continue;
-        }
-        p->out_port = out;
-        outq_[static_cast<std::size_t>(out)][static_cast<std::size_t>(prio)]
-            .push_back(p);
-        outq_bytes_[static_cast<std::size_t>(out)]
-                   [static_cast<std::size_t>(prio)] += p->size_bytes;
-        kicked |= 1ull << static_cast<unsigned>(out);
+    PrioQueues& dead = outq_[static_cast<std::size_t>(e)];
+    for (int prio = 0; prio < kNumPriorities; ++prio)
+      while (!dead.fifo(prio).empty()) {
+        Packet* p = dead.pop(prio);
+        if (retarget(p)) outq_[static_cast<std::size_t>(p->out_port)].push(p);
       }
-    }
   }
   // Input-FIFO entries targeting dead egresses: retarget in place.
-  for (int in = 0; in < ports; ++in) {
-    for (int prio = 0; prio < kNumPriorities; ++prio) {
-      auto& q = inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
-      for (std::size_t i = 0; i < q.size();) {
-        Packet* p = q[i];
-        if (p->out_port >= 0 && !port(p->out_port).link_up()) {
-          const int out = route_for(*p);
-          if (out < 0 || !port(out).link_up()) {
-            drop(p);
-            q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-            continue;
-          }
-          p->out_port = out;
-          kicked |= 1ull << static_cast<unsigned>(out);
-        }
-        ++i;
+  for (auto& fifos : inq_) {
+    for (PacketFifo& q : fifos) {
+      PacketFifo waiting = std::exchange(q, PacketFifo{});
+      while (!waiting.empty()) {
+        Packet* p = waiting.pop_front();
+        if (p->out_port >= 0 && !port(p->out_port).link_up() && !retarget(p))
+          continue;
+        q.push_back(p);
       }
     }
   }
-  for (int e = 0; e < ports; ++e) {
-    if ((kicked & (1ull << static_cast<unsigned>(e))) == 0) continue;
-    if (arch_ == SwitchArch::kCioqRoundRobin) {
-      dispatch(e);
-    } else {
-      port(e).kick();
-    }
+  for (; kicked != 0; kicked &= kicked - 1) {
+    const int e = std::countr_zero(kicked);
+    // CIOQ pulls retargeted input heads in, but a dispatch kicks only an
+    // egress it moved packets to; requeued output packets need the kick
+    // either way.
+    if (arch_ == SwitchArch::kCioqRoundRobin) dispatch(e);
+    port(e).kick();
   }
 }
 
 std::uint64_t SwitchNode::drain_egress(int egress) {
   ensure_tables();
   std::uint64_t dropped = 0;
-  const auto drop = [this, &dropped, egress](Packet* p) {
-    network().trace_event(trace::EventType::kDrop, id(), egress, p->priority,
-                          p->id, p->size_bytes);
-    release_ingress(*p);
-    network().free_packet(p);
-    ++dropped;
-  };
+  PrioQueues& oq = outq_[static_cast<std::size_t>(egress)];
   for (int prio = 0; prio < kNumPriorities; ++prio) {
-    auto& q =
-        outq_[static_cast<std::size_t>(egress)][static_cast<std::size_t>(prio)];
-    while (!q.empty()) {
-      Packet* p = q.front();
-      q.pop_front();
-      outq_bytes_[static_cast<std::size_t>(egress)]
-                 [static_cast<std::size_t>(prio)] -= p->size_bytes;
-      drop(p);
+    while (!oq.fifo(prio).empty()) {
+      discard(oq.pop(prio));
+      ++dropped;
     }
   }
   // Input-FIFO heads wedged on this egress (CIOQ / input-queued archs).
   std::uint64_t kicked = 0;
-  for (int in = 0; in < port_count(); ++in) {
-    for (int prio = 0; prio < kNumPriorities; ++prio) {
-      auto& q = inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
+  for (auto& fifos : inq_) {
+    for (PacketFifo& q : fifos) {
       while (!q.empty() && q.front()->out_port == egress) {
-        Packet* p = q.front();
-        q.pop_front();
-        drop(p);
+        discard(q.pop_front());
+        ++dropped;
       }
-      if (!q.empty() && q.front()->out_port != egress)
+      if (!q.empty())
         kicked |= 1ull << static_cast<unsigned>(q.front()->out_port);
     }
   }
   if (dropped == 0) return 0;
   if (arch_ == SwitchArch::kCioqRoundRobin) dispatch(egress);
-  for (int e = 0; e < port_count(); ++e)
-    if (kicked & (1ull << static_cast<unsigned>(e))) port(e).kick();
+  for (; kicked != 0; kicked &= kicked - 1)
+    wake_egress(std::countr_zero(kicked));
   return dropped;
 }
 
 std::uint64_t SwitchNode::drop_egress_head(int egress) {
   ensure_tables();
-  const auto drop = [this, egress](Packet* p) {
-    network().trace_event(trace::EventType::kDrop, id(), egress, p->priority,
-                          p->id, p->size_bytes);
-    release_ingress(*p);
-    network().free_packet(p);
-  };
+  PrioQueues& oq = outq_[static_cast<std::size_t>(egress)];
   for (int prio = 0; prio < kNumPriorities; ++prio) {
-    auto& q =
-        outq_[static_cast<std::size_t>(egress)][static_cast<std::size_t>(prio)];
-    if (q.empty()) continue;
-    Packet* p = q.front();
-    q.pop_front();
-    outq_bytes_[static_cast<std::size_t>(egress)]
-               [static_cast<std::size_t>(prio)] -= p->size_bytes;
-    drop(p);
+    if (oq.fifo(prio).empty()) continue;
+    discard(oq.pop(prio));
     if (arch_ == SwitchArch::kCioqRoundRobin) dispatch(egress);
     return 1;
   }
   // No output-queued packet: drop an input-FIFO head wedged on this egress.
-  for (int in = 0; in < port_count(); ++in) {
-    for (int prio = 0; prio < kNumPriorities; ++prio) {
-      auto& q =
-          inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
+  for (auto& fifos : inq_) {
+    for (PacketFifo& q : fifos) {
       if (q.empty() || q.front()->out_port != egress) continue;
-      Packet* p = q.front();
-      q.pop_front();
-      drop(p);
+      discard(q.pop_front());
       if (!q.empty() && q.front()->out_port != egress)
-        port(q.front()->out_port).kick();
+        wake_egress(q.front()->out_port);
       if (arch_ == SwitchArch::kCioqRoundRobin) dispatch(egress);
       return 1;
     }

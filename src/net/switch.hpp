@@ -19,26 +19,24 @@
 //
 // Either way a packet is charged to the (ingress port, priority) it arrived
 // on until it finishes transmitting on its egress, which is what the
-// PFC/CBFC/GFC downstream halves watch.
+// PFC/CBFC/GFC downstream halves watch. Every queue is a PacketFifo, and
+// the egress queues are the PrioQueues set a host NIC uses too, so output
+// queues cost no allocation until packets arrive.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/node.hpp"
 
 namespace gfc::net {
 
-/// ECN marking config (RED-style on ingress occupancy; kmin == kmax &&
-/// pmax == 1 gives the simple threshold marking used in the paper's DCQCN
-/// study).
+/// ECN marking: a data packet is marked when the occupancy of its (ingress
+/// port, priority) exceeds `threshold` bytes, the threshold marking of the
+/// paper's DCQCN study. 0 turns marking off.
 struct EcnConfig {
-  bool enabled = false;
-  std::int64_t kmin = 0;
-  std::int64_t kmax = 0;
-  double pmax = 1.0;
+  std::int64_t threshold = 0;
 };
 
 enum class SwitchArch {
@@ -114,19 +112,26 @@ class SwitchNode final : public Node {
   /// Release (ingress port, priority) accounting and fire the flow-control
   /// dequeue hook — shared by departure and the runtime drop paths.
   void release_ingress(Packet& pkt);
+  /// Runtime drop of a packet taken off a queue: trace it against the
+  /// egress it waited for, release its ingress accounting, free it.
+  void discard(Packet* pkt);
   void maybe_mark_ecn(Packet& pkt, int in_port);
   void ensure_tables();
+  /// Tell `egress` it has new work: CIOQ dispatches input heads into its
+  /// output queue, the other architectures kick the port.
+  void wake_egress(int egress);
 
   std::int64_t buffer_;
   EcnConfig ecn_;
   std::vector<std::array<std::int64_t, kNumPriorities>> ingress_bytes_;
   /// Input FIFOs per (ingress port, priority).
-  std::vector<std::array<std::deque<Packet*>, kNumPriorities>> inq_;
-  /// CIOQ egress FIFOs per (egress port, priority), bounded by
-  /// kEgressQueueCap.
-  std::vector<std::array<std::deque<Packet*>, kNumPriorities>> outq_;
-  std::vector<std::array<std::int64_t, kNumPriorities>> outq_bytes_;
-  /// Round-robin cursors per egress port.
+  std::vector<std::array<PacketFifo, kNumPriorities>> inq_;
+  /// Egress queues per port (CIOQ: bounded by kEgressQueueCap per
+  /// priority).
+  std::vector<PrioQueues> outq_;
+  /// Per-egress cursors over the input FIFOs: `in` is the ingress port
+  /// CIOQ dispatch and input-queued polling try first, `prio` the priority
+  /// input-queued polling tries first.
   struct EgressRr {
     int prio = 0;
     int in = 0;
@@ -138,17 +143,9 @@ class SwitchNode final : public Node {
   /// Wakes egresses that received work (deferred to avoid re-entering the
   /// transmit path this may be called from).
   void dispatch(int seed_egress);
-  /// Drain one queued kick mask (one dispatch's deferred egress wake-ups).
-  void fire_kicks();
 
   std::uint32_t active_prios_ = 0;  // bitmask: priorities ever seen
-  // Deferred-kick masks, FIFO, drained by the shared kick timer — one
-  // firing per queued mask, in the order the dispatches queued them.
-  std::deque<std::uint64_t> kick_masks_;
-  sim::TimerId kick_timer_{};
   SwitchArch arch_ = SwitchArch::kOutputQueuedFifo;
-  /// Per-egress RR cursor over ingress ports (dispatch arbitration).
-  std::vector<int> arb_rr_;
   // Route table, flattened: per-dst (offset, count) into one contiguous
   // candidate array — route_for reads two adjacent allocations instead of
   // chasing a heap vector per destination. Re-routing a dst appends fresh

@@ -228,7 +228,7 @@ struct ScenarioConfig {
   /// Control-frame processing latency t_r (also used to pad tau up to
   /// testbed-like values).
   sim::TimePs control_delay = sim::us(1);
-  net::EcnConfig ecn;  // disabled unless a DCQCN study turns it on
+  net::EcnConfig ecn;  // off unless a DCQCN study sets a threshold
   std::uint64_t seed = 1;
 
   /// Runtime control-frame fault injection; all-zero rates (the default)

@@ -66,7 +66,7 @@ Fabric::Fabric(const topo::Topology& topo, const ScenarioConfig& cfg)
     } else {
       net::SwitchNode& s = net_.add_switch(tn.name, cfg.switch_buffer);
       s.set_arch(cfg.arch);
-      if (cfg.ecn.enabled) s.set_ecn(cfg.ecn);
+      s.set_ecn(cfg.ecn);
     }
   }
   for (std::size_t l = 0; l < topo.link_count(); ++l) {

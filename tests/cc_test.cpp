@@ -19,9 +19,7 @@ runner::IncastScenario make_dcqcn_incast(int n, runner::FcKind fc,
   cfg.switch_buffer = 300'000;
   cfg.fc = runner::FcSetup::derive(fc, cfg.switch_buffer, cfg.link.rate,
                                    cfg.tau());
-  cfg.ecn.enabled = true;
-  cfg.ecn.kmin = 40'000;  // paper Sec 7: ECN threshold 40 KB
-  cfg.ecn.kmax = 40'000;
+  cfg.ecn.threshold = 40'000;  // paper Sec 7: ECN threshold 40 KB
   auto s = runner::make_incast(cfg, n);
   auto cc = std::make_unique<DcqcnModule>(s.fabric->net(), dc);
   *cc_out = cc.get();

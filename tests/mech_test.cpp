@@ -75,12 +75,15 @@ struct DcfitRingResult {
   DcfitTotals totals;
 };
 
-DcfitRingResult run_dcfit_ring(const char* mech_name,
-                               sim::TimePs duration = sim::ms(20)) {
+DcfitRingResult run_dcfit_ring(
+    const char* mech_name, sim::TimePs duration = sim::ms(20),
+    net::SwitchArch arch = net::SwitchArch::kOutputQueuedFifo,
+    int n_switches = 3, int hops = 2) {
   const MechSpec* spec = find_mechanism(mech_name);
   EXPECT_NE(spec, nullptr);
   runner::ScenarioConfig cfg = config_for(*spec);
-  runner::RingScenario s = runner::make_ring(cfg);
+  cfg.arch = arch;
+  runner::RingScenario s = runner::make_ring(cfg, n_switches, hops);
   net::Network& net = s.fabric->net();
   stats::ThroughputSampler tp(net, sim::us(100));
   stats::DeadlockDetector det(net);
@@ -93,8 +96,8 @@ DcfitRingResult run_dcfit_ring(const char* mech_name,
   return out;
 }
 
-TEST(DcfitRing, DropOneDetectsAndBreaksTheFigure1Deadlock) {
-  const DcfitRingResult r = run_dcfit_ring("DCFIT-drop");
+void expect_drop_one_breaks_deadlock(const DcfitRingResult& r,
+                                     double min_tail_gbps) {
   // The cycle forms (same PFC thresholds that wedge plain PFC), the
   // trigger comes home within microseconds, and each drop releases it.
   // With *persistent* line-rate flows the cycle immediately re-forms, so
@@ -106,13 +109,42 @@ TEST(DcfitRing, DropOneDetectsAndBreaksTheFigure1Deadlock) {
   EXPECT_GT(r.totals.detections, 1);  // break, re-form, break again
   EXPECT_GT(r.totals.packets_sacrificed, 0u);
   EXPECT_EQ(r.totals.bypasses, 0);
-  EXPECT_GT(r.tail_gbps, 0.5);
+  EXPECT_GT(r.tail_gbps, min_tail_gbps);
   // Detection is a trigger round trip: microseconds, not the ground-truth
   // scanner's milliseconds.
   EXPECT_GT(r.totals.first_detection_latency, 0);
   EXPECT_LT(r.totals.first_detection_latency, sim::ms(1));
   // Drop-one sacrifices packets; losslessness is otherwise intact.
   EXPECT_EQ(r.violations, 0u);
+}
+
+TEST(DcfitRing, DropOneDetectsAndBreaksTheFigure1Deadlock) {
+  expect_drop_one_breaks_deadlock(run_dcfit_ring("DCFIT-drop"), 0.5);
+}
+
+// Every switch architecture; with CIOQ and input queueing,
+// drop_egress_head may take a wedged input-FIFO head. Fair arbitration
+// keeps the symmetric 3-ring out of deadlock (bench/ablation_arbitration);
+// 3-hop flows on a 4-ring wedge it under all three, and re-form the cycle
+// right after each drop, so the tail only has to be nonzero.
+class DcfitRingArch : public testing::TestWithParam<net::SwitchArch> {};
+INSTANTIATE_TEST_SUITE_P(
+    AllArchs, DcfitRingArch,
+    testing::Values(net::SwitchArch::kOutputQueuedFifo,
+                    net::SwitchArch::kCioqRoundRobin,
+                    net::SwitchArch::kInputQueued),
+    [](const auto& info) -> std::string {
+      switch (info.param) {
+        case net::SwitchArch::kOutputQueuedFifo: return "output_queued";
+        case net::SwitchArch::kCioqRoundRobin: return "cioq";
+        case net::SwitchArch::kInputQueued: return "input_queued";
+      }
+      return "unknown";
+    });
+
+TEST_P(DcfitRingArch, DropOneDetectsAndBreaksTheDeadlock) {
+  expect_drop_one_breaks_deadlock(
+      run_dcfit_ring("DCFIT-drop", sim::ms(20), GetParam(), 4, 3), 0.0);
 }
 
 TEST(DcfitRing, BypassDetectsAndKeepsTheRingMoving) {

@@ -322,12 +322,7 @@ TEST_F(TwoHostFixture, ControlFramesBypassBlockedData) {
 }
 
 TEST_F(TwoHostFixture, EcnThresholdMarking) {
-  EcnConfig ecn;
-  ecn.enabled = true;
-  ecn.kmin = 3000;
-  ecn.kmax = 3000;
-  ecn.pmax = 1.0;
-  net_.sw(s0_)->set_ecn(ecn);
+  net_.sw(s0_)->set_ecn(EcnConfig{3000});
   // Two senders into one receiver port overload it and build a queue.
   NodeId h2 = net_.add_host("H2").id();
   net_.connect(h2, s0_, gbps(10), us(1));

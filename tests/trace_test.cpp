@@ -254,9 +254,7 @@ std::string incast_cbfc_dcqcn_csv() {
   runner::ScenarioConfig cfg;
   cfg.fc = runner::FcSetup::derive(runner::FcKind::kCbfc, cfg.switch_buffer,
                                    cfg.link.rate, cfg.tau());
-  cfg.ecn.enabled = true;
-  cfg.ecn.kmin = 10'000;
-  cfg.ecn.kmax = 10'000;
+  cfg.ecn.threshold = 10'000;
   cfg.trace.enabled = true;
   runner::IncastScenario s = runner::make_incast(cfg, 2);
   net::Network& net = s.fabric->net();
