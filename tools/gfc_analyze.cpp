@@ -24,10 +24,10 @@
 //                    replace the scenario's routing with the up*/down*
 //                    CBD-free tables (src/mech/cbd_routing) before analysis
 //   --list-scenarios print the scenario grammar and exit
-//   --buffer BYTES   per-port buffer B_m (default 300000)
+//   --buffer BYTES   per-port buffer B_m (default 300000, must be > 0)
 //   --b1/--b0/--bm/--xoff/--xon BYTES, --period-us T
-//                    explicit mechanism parameters; omitted ones are
-//                    derived from --buffer via the paper's bounds
+//                    explicit mechanism parameters (T > 0); omitted ones
+//                    are derived from --buffer via the paper's bounds
 //   --max-cycles N   Johnson enumeration cap (default 4096)
 //   --failures K     exhaustively fail every combination of <= K
 //                    switch-to-switch links, reroute (shortest paths) and
@@ -42,12 +42,17 @@
 //                    suppresses the human report)
 //   --fail           exit 3 when the verdict is at_risk
 //
+// Numeric values are parsed strictly: the whole token must be a number in
+// the flag's range, or the run stops with exit status 2.
+//
 // Exit status: 0 ok, 2 usage error or a mechanism setup no fabric can run
 // (e.g. a GFC threshold outside its mapping's domain), 3 at-risk verdict
 // under --fail.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -95,6 +100,43 @@ int list_scenarios() {
   return 0;
 }
 
+/// A byte count from the command line; a terabyte per port is beyond any
+/// switch, and the cap keeps the bound arithmetic far from overflow.
+constexpr std::int64_t kMaxBytes = 1'000'000'000'000;
+
+/// Strict integer: the whole of `text`, within [lo, hi].
+bool parse_int(const char* flag, const char* text, std::int64_t lo,
+               std::int64_t hi, std::int64_t* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    std::fprintf(stderr, "%s: expected an integer in [%lld, %lld], got '%s'\n",
+                 flag, static_cast<long long>(lo), static_cast<long long>(hi),
+                 text);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// Strict feedback period in microseconds: at least one simulator tick
+/// (1 ps) and at most 1e9 us, so sim::us() cannot overflow.
+bool parse_period_us(const char* text, double* out) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !(v > 0 && v <= 1e9) || sim::us(v) < 1) {
+    std::fprintf(stderr,
+                 "--period-us: expected a period of 1 ps to 1e9 us, got '%s'\n",
+                 text);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 bool parse_fc_kind(const std::string& name, runner::FcKind* out) {
   if (name == "none") *out = runner::FcKind::kNone;
   else if (name == "pfc") *out = runner::FcKind::kPfc;
@@ -127,39 +169,38 @@ int main(int argc, char** argv) {
 
   for (int i = 2; i < argc; ++i) {
     const char* a = argv[i];
-    auto value = [&](std::int64_t* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::strtoll(argv[++i], nullptr, 10);
-      return true;
+    auto value = [&](std::int64_t lo, std::int64_t hi, std::int64_t* out) {
+      return i + 1 < argc && parse_int(a, argv[++i], lo, hi, out);
     };
     if (!std::strcmp(a, "--fc")) {
       if (i + 1 >= argc || !parse_fc_kind(argv[++i], &kind))
         return usage(argv[0]);
     } else if (!std::strcmp(a, "--buffer")) {
-      if (!value(&buffer)) return usage(argv[0]);
+      if (!value(1, kMaxBytes, &buffer)) return usage(argv[0]);
     } else if (!std::strcmp(a, "--b1")) {
-      if (!value(&b1)) return usage(argv[0]);
+      if (!value(0, kMaxBytes, &b1)) return usage(argv[0]);
     } else if (!std::strcmp(a, "--b0")) {
-      if (!value(&b0)) return usage(argv[0]);
+      if (!value(0, kMaxBytes, &b0)) return usage(argv[0]);
     } else if (!std::strcmp(a, "--bm")) {
-      if (!value(&bm)) return usage(argv[0]);
+      if (!value(0, kMaxBytes, &bm)) return usage(argv[0]);
     } else if (!std::strcmp(a, "--xoff")) {
-      if (!value(&xoff)) return usage(argv[0]);
+      if (!value(0, kMaxBytes, &xoff)) return usage(argv[0]);
     } else if (!std::strcmp(a, "--xon")) {
-      if (!value(&xon)) return usage(argv[0]);
+      if (!value(0, kMaxBytes, &xon)) return usage(argv[0]);
     } else if (!std::strcmp(a, "--period-us")) {
-      if (i + 1 >= argc) return usage(argv[0]);
-      period_us = std::strtod(argv[++i], nullptr);
+      if (i + 1 >= argc || !parse_period_us(argv[++i], &period_us))
+        return usage(argv[0]);
     } else if (!std::strcmp(a, "--max-cycles")) {
       std::int64_t v = 0;
-      if (!value(&v) || v < 1) return usage(argv[0]);
+      if (!value(1, std::numeric_limits<std::int64_t>::max(), &v))
+        return usage(argv[0]);
       max_cycles = static_cast<std::size_t>(v);
     } else if (!std::strcmp(a, "--json")) {
       if (i + 1 >= argc) return usage(argv[0]);
       json_path = argv[++i];
     } else if (!std::strcmp(a, "--failures")) {
       std::int64_t v = 0;
-      if (!value(&v) || v < 1 || v > 8) return usage(argv[0]);
+      if (!value(1, 8, &v)) return usage(argv[0]);
       failures = static_cast<int>(v);
     } else if (!std::strcmp(a, "--suggest-repairs")) {
       suggest_repairs = true;
@@ -207,7 +248,7 @@ int main(int argc, char** argv) {
   if (bm >= 0) cfg.fc.bm = bm;
   if (xoff >= 0) cfg.fc.xoff = xoff;
   if (xon >= 0) cfg.fc.xon = xon;
-  if (period_us >= 0) cfg.fc.period = sim::us(period_us);
+  if (period_us > 0) cfg.fc.period = sim::us(period_us);
   // Build the flow-control module a fabric would build from this setup: its
   // GFC mapping rejects thresholds outside the mapping's domain (B_0 < 0,
   // B_1 <= 0, ...), which no fabric can run, so no verdict is issued.
