@@ -9,10 +9,11 @@
 // number of scenarios that deadlock. Expected shape: identical nonzero
 // counts for PFC and CBFC, decreasing with k; zero for both GFC variants.
 //
-// Runs as an exp:: campaign: the topology scan (sampled/prone/covered) is
-// sequential and cheap; every (scale, covered seed, mechanism) simulation
-// is an independent worker-pool trial (--jobs N), with counts identical to
-// the historical sequential loop for any job count.
+// Runs as exp:: campaigns on --jobs N workers: the topology screen
+// (sampled/prone/covered) is one trial per sampled seed, merged in seed
+// order, and every (scale, covered seed, mechanism) simulation is an
+// independent trial, with counts identical to the historical sequential
+// loop for any job count.
 //
 // Mechanism columns come from the src/mech registry: the four historical
 // ones plus DCFIT (detect-and-break; its column counts scenarios it failed
@@ -20,6 +21,7 @@
 // re-forming wedges it keeps breaking) and CBD-routing (PFC on up*/down*
 // restricted tables; must never deadlock, same guarantee class as GFC).
 #include <cmath>
+#include <stdexcept>
 
 #include "analyze/analyze.hpp"
 #include "bench_common.hpp"
@@ -57,30 +59,76 @@ struct ScaleScan {
   std::vector<FreeCase> cbd_free;
 };
 
-ScaleScan scan_scale(int k, int n_topologies, int keep_free) {
-  ScaleScan out;
-  for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n_topologies);
-       ++seed) {
-    ++out.sampled;
-    topo::Topology t;
-    topo::build_fattree(t, k);
-    sim::Rng rng(seed * 7919 + static_cast<std::uint64_t>(k));
-    auto failed = topo::random_failures(t, rng, 0.05);
-    const auto routing = topo::compute_shortest_paths(t);
-    // CBD-prone screening through the static analyzer: one witness DFS
-    // per sample, so paper-scale sweeps (--scale) stay cheap until a
-    // sample actually earns a simulation.
-    const analyze::CbdScreen screen = analyze::screen_cbd(t, routing);
-    if (!screen.prone) {
-      if (static_cast<int>(out.cbd_free.size()) < keep_free)
-        out.cbd_free.push_back({seed, std::move(failed)});
-      continue;
+/// One sampled topology's screen: a pure function of (k, seed).
+struct SeedScan {
+  bool prone = false;
+  bool covered = false;
+  std::vector<topo::LinkIndex> failed;
+  std::vector<topo::CbdStress::FlowSpec> stress_flows;
+  std::string witness;  // canonical CBD cycle (smallest link first)
+};
+
+SeedScan scan_seed(int k, std::uint64_t seed) {
+  SeedScan out;
+  topo::Topology t;
+  topo::build_fattree(t, k);
+  sim::Rng rng(seed * 7919 + static_cast<std::uint64_t>(k));
+  out.failed = topo::random_failures(t, rng, 0.05);
+  const auto routing = topo::compute_shortest_paths(t);
+  // CBD-prone screening through the static analyzer: one witness DFS
+  // per sample, so paper-scale sweeps (--scale) stay cheap until a
+  // sample actually earns a simulation.
+  const analyze::CbdScreen screen = analyze::screen_cbd(t, routing);
+  out.prone = screen.prone;
+  if (!screen.prone) return out;
+  auto stress = topo::build_cbd_stress(t, routing, screen.cycle, rng);
+  out.covered = stress.covered;
+  out.stress_flows = std::move(stress.flows);
+  out.witness = screen.witness;
+  return out;
+}
+
+/// Screens seeds 1..n of every scale on `jobs` workers (no journal, no
+/// sharding: the screen is cheap and deterministic), then merges each
+/// scale in seed order, keeping its first `keep_free[i]` CBD-free seeds.
+std::vector<ScaleScan> scan_scales(const std::vector<std::pair<int, int>>& scales,
+                                   const std::vector<int>& keep_free,
+                                   int jobs) {
+  std::vector<std::vector<SeedScan>> seeds(scales.size());
+  exp::Campaign screen;
+  screen.name = "table1_screen";
+  for (std::size_t si = 0; si < scales.size(); ++si) {
+    const auto [k, n] = scales[si];
+    seeds[si].resize(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+      screen.add("k" + std::to_string(k) + "/seed" + std::to_string(i + 1), {},
+                 [slot = &seeds[si][static_cast<std::size_t>(i)], k, i] {
+                   *slot = scan_seed(k, static_cast<std::uint64_t>(i) + 1);
+                   return exp::TrialResult{};
+                 });
+  }
+  exp::PoolOptions pool;
+  pool.jobs = jobs;
+  for (const exp::TrialRecord& t : exp::run_campaign(screen, pool).trials)
+    if (!t.ok())
+      throw std::runtime_error("screen " + t.name + " failed: " + t.error);
+
+  std::vector<ScaleScan> out(scales.size());
+  for (std::size_t si = 0; si < scales.size(); ++si) {
+    for (std::size_t i = 0; i < seeds[si].size(); ++i) {
+      SeedScan& r = seeds[si][i];
+      const std::uint64_t seed = i + 1;
+      ++out[si].sampled;
+      if (!r.prone) {
+        if (static_cast<int>(out[si].cbd_free.size()) < keep_free[si])
+          out[si].cbd_free.push_back({seed, std::move(r.failed)});
+        continue;
+      }
+      ++out[si].prone;
+      if (!r.covered) continue;
+      out[si].covered.push_back({seed, std::move(r.failed),
+                                 std::move(r.stress_flows), std::move(r.witness)});
     }
-    ++out.prone;
-    auto stress = topo::build_cbd_stress(t, routing, screen.cycle, rng);
-    if (!stress.covered) continue;
-    out.covered.push_back({seed, std::move(failed), std::move(stress.flows),
-                           screen.witness});
   }
   return out;
 }
@@ -119,9 +167,13 @@ int main(int argc, char** argv) {
   // Cross-validation sample: statically CBD-free k=4 fabrics get a PFC
   // closed-loop run below — the analyzer's "deadlock_free" verdict must
   // translate into zero runtime detections.
-  std::vector<ScaleScan> scans;
-  for (const Scale& s : scales)
-    scans.push_back(scan_scale(s.k, s.n, s.k == 4 ? 4 : 0));
+  std::vector<std::pair<int, int>> screened;
+  std::vector<int> keep_free;
+  for (const Scale& s : scales) {
+    screened.push_back({s.k, s.n});
+    keep_free.push_back(s.k == 4 ? 4 : 0);
+  }
+  const std::vector<ScaleScan> scans = scan_scales(screened, keep_free, cli.jobs);
 
   std::printf("\nCBD witnesses (canonical: cycle rotated to its smallest "
               "link):\n");

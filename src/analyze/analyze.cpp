@@ -232,19 +232,78 @@ void lint_routing(const Input& in, Report* rep) {
   }
   const bool layered = max_layer > min_layer;
 
-  // Per-node scratch tables, reset for each destination.
+  // Per destination class: loops and fat-tree valleys. Host next hops are
+  // deliveries, never transit, so every member of a class sees the same
+  // switch rows and the same loop. Only the valley walk's seed order can
+  // depend on which member is the destination, since its own row does not
+  // seed the walk; the messages still name each host, in hosts() order.
   const std::size_t nodes = topo.node_count();
+  const std::size_t classes = routing.class_count();
   const auto at = [](topo::NodeIndex v) { return static_cast<std::size_t>(v); };
+  const auto host_pos = [&hosts](topo::NodeIndex h) {
+    return static_cast<std::size_t>(
+        std::lower_bound(hosts.begin(), hosts.end(), h) - hosts.begin());
+  };
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  constexpr topo::DirectedLink kNoValley{-1, -1};
+  std::vector<std::string> loop_of(classes);  // the loop's node chain, if any
+  std::vector<topo::DirectedLink> valley_of(hosts.size(), kNoValley);
   std::vector<char> color(nodes);  // 0 white, 1 grey, 2 black
   std::vector<topo::NodeIndex> parent(nodes);
   std::vector<char> seen(2 * nodes);  // (switch, descended) BFS states
+  // The host position whose row first holds each switch: over every host
+  // row, and over all rows but one member's.
+  std::vector<std::size_t> first_all(nodes), first_but(nodes);
   std::vector<std::pair<topo::NodeIndex, std::size_t>> stack;
   std::vector<std::pair<topo::NodeIndex, bool>> frontier;
+  std::vector<topo::NodeIndex> seeds_all, seeds;
 
-  for (const topo::NodeIndex dst : hosts) {
-    // Loop detection: tri-color DFS over switch next-hops toward dst,
-    // reporting the first cycle found (deterministic: switches ascending,
-    // next hops in table order).
+  // Valley lint: in the ECMP closure toward a destination, an up-edge
+  // (layer increases) reachable after a down-edge violates up-down
+  // routing. BFS over (switch, descended) states from the seed switches
+  // tolerates broken (cyclic) tables; the first violation is reported.
+  const auto valley_walk = [&](std::size_t c,
+                               const std::vector<topo::NodeIndex>& from) {
+    std::fill(seen.begin(), seen.end(), 0);
+    frontier.clear();
+    const auto visit = [&](topo::NodeIndex n, bool down) {
+      char& state = seen[2 * at(n) + (down ? 1 : 0)];
+      if (state == 0) frontier.push_back({n, down});
+      state = 1;
+    };
+    for (const topo::NodeIndex n : from) visit(n, false);
+    for (std::size_t qi = 0; qi < frontier.size(); ++qi) {
+      const auto [v, descended] = frontier[qi];
+      for (const topo::NodeIndex w : routing.row(c, v)) {
+        if (topo.is_host(w)) continue;
+        const int lv = topo.node(v).layer, lw = topo.node(w).layer;
+        if (descended && lw > lv) return topo::DirectedLink{v, w};
+        visit(w, descended || lw < lv);
+      }
+    }
+    return kNoValley;
+  };
+  // The walk's seeds toward a member at host position `skip`: the switches
+  // in the other hosts' rows, in order of first appearance.
+  const auto seed_switches = [&](std::size_t c, std::size_t skip,
+                                 std::vector<std::size_t>* first,
+                                 std::vector<topo::NodeIndex>* out) {
+    out->clear();
+    std::fill(first->begin(), first->end(), kNone);
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      if (i == skip) continue;
+      for (const topo::NodeIndex n : routing.row(c, hosts[i])) {
+        if (topo.is_host(n) || (*first)[at(n)] != kNone) continue;
+        (*first)[at(n)] = i;
+        out->push_back(n);
+      }
+    }
+  };
+
+  for (std::size_t c = 0; c < classes; ++c) {
+    // Loop detection: tri-color DFS over switch next-hops, reporting the
+    // first cycle found (deterministic: switches ascending, next hops in
+    // table order).
     std::fill(color.begin(), color.end(), 0);
     bool loop_reported = false;
     for (const topo::NodeIndex root : switches) {
@@ -253,7 +312,7 @@ void lint_routing(const Input& in, Report* rep) {
       color[at(root)] = 1;
       while (!stack.empty() && !loop_reported) {
         auto& [v, next] = stack.back();
-        const auto& hops = routing.next_hops(v, dst);
+        const std::span<const topo::NodeIndex> hops = routing.row(c, v);
         std::size_t i = next++;
         // Skip host next-hops (delivery, not transit).
         while (i < hops.size() && topo.is_host(hops[i])) i = next++;
@@ -271,9 +330,7 @@ void lint_routing(const Input& in, Report* rep) {
             for (auto it = chain.rbegin(); it != chain.rend(); ++it)
               cyc += " -> " + topo.node(*it).name;
             cyc += " -> " + topo.node(w).name;
-            rep->lints.push_back({"routing_loop", "routing toward " +
-                                                      topo.node(dst).name +
-                                                      " loops: " + cyc});
+            loop_of[c] = std::move(cyc);
             loop_reported = true;
           }
         } else {
@@ -283,40 +340,44 @@ void lint_routing(const Input& in, Report* rep) {
       }
     }
 
-    // Valley lint: in the ECMP closure toward dst, an up-edge (layer
-    // increases) reachable after a down-edge violates up-down routing.
-    // BFS over (switch, descended) states tolerates broken (cyclic)
-    // tables; the first violation per destination is reported.
     if (!layered) continue;
-    std::fill(seen.begin(), seen.end(), 0);
-    frontier.clear();
-    const auto visit = [&](topo::NodeIndex n, bool down) {
-      char& state = seen[2 * at(n) + (down ? 1 : 0)];
-      if (state == 0) frontier.push_back({n, down});
-      state = 1;
-    };
-    for (const topo::NodeIndex s : hosts) {
-      if (s == dst) continue;
-      for (const topo::NodeIndex n : routing.next_hops(s, dst))
-        if (!topo.is_host(n)) visit(n, false);
-    }
-    bool valley_reported = false;
-    for (std::size_t qi = 0; qi < frontier.size() && !valley_reported; ++qi) {
-      const auto [v, descended] = frontier[qi];
-      for (const topo::NodeIndex w : routing.next_hops(v, dst)) {
-        if (topo.is_host(w)) continue;
-        const int lv = topo.node(v).layer, lw = topo.node(w).layer;
-        if (descended && lw > lv) {
-          rep->lints.push_back(
-              {"valley", "route toward " + topo.node(dst).name +
-                             " climbs after descending: " + topo.node(v).name +
-                             " -> " + topo.node(w).name});
-          valley_reported = true;
-          break;
+    // Seeds over every host's row serve each member whose own row adds no
+    // switch first; for the rest, the seeds are rebuilt without that row.
+    seed_switches(c, kNone, &first_all, &seeds_all);
+    bool walked_all = false;
+    topo::DirectedLink all = kNoValley;
+    for (const topo::NodeIndex m : routing.members(c)) {
+      const std::size_t p = host_pos(m);
+      const std::span<const topo::NodeIndex> own = routing.row(c, m);
+      if (std::any_of(own.begin(), own.end(), [&](topo::NodeIndex n) {
+            return !topo.is_host(n) && first_all[at(n)] == p;
+          })) {
+        seed_switches(c, p, &first_but, &seeds);
+        if (seeds != seeds_all) {
+          valley_of[p] = valley_walk(c, seeds);
+          continue;
         }
-        visit(w, descended || lw < lv);
       }
+      if (!walked_all) {
+        all = valley_walk(c, seeds_all);
+        walked_all = true;
+      }
+      valley_of[p] = all;
     }
+  }
+
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    const std::int32_t c = routing.class_of(hosts[i]);
+    if (c < 0) continue;
+    const std::string& dst = topo.node(hosts[i]).name;
+    if (!loop_of[static_cast<std::size_t>(c)].empty())
+      rep->lints.push_back({"routing_loop", "routing toward " + dst + " loops: " +
+                                                loop_of[static_cast<std::size_t>(c)]});
+    const auto [v, w] = valley_of[i];
+    if (v >= 0)
+      rep->lints.push_back(
+          {"valley", "route toward " + dst + " climbs after descending: " +
+                         topo.node(v).name + " -> " + topo.node(w).name});
   }
 }
 

@@ -3,18 +3,20 @@
 // A link flap (src/fault) followed by a routing recompute invalidates the
 // pre-flight verdict; re-running analyze() from scratch on every flap is
 // wasteful because most of the work is untouched: a failed link changes
-// the routing columns of only the destinations it carried, and most
-// strongly-connected components of the buffer-dependency graph keep the
-// exact same shape.
+// the routing columns of only the destination classes it carried, and
+// most strongly-connected components of the buffer-dependency graph keep
+// the exact same shape.
 //
 // IncrementalAnalyzer exploits both:
 //
-//  1. Per-destination closure-op caching. The graph construction is the
-//     concatenation of per-destination op sequences (see
-//     topo::destination_closure_ops), each a pure function of the routing
-//     column toward that destination. Columns are compared by *exact
-//     equality* (never a hash — a collision would silently break
-//     byte-identity); unchanged columns replay their cached ops.
+//  1. Per-class closure-op caching. The graph construction is the
+//     concatenation of per-class op sequences (see
+//     topo::class_closure_ops), each a pure function of the class's
+//     routing column. Each class's stored column is compared in place
+//     with the cached copy by *exact equality* (never a hash — a
+//     collision would silently break byte-identity); unchanged columns
+//     replay their cached ops. A host-link flap changes the partition
+//     into classes; the columns then differ and the ops are rebuilt.
 //  2. Per-SCC cycle caching. Elementary cycles never cross SCC
 //     boundaries, so each cyclic SCC is enumerated alone and the result
 //     cached under the SCC's canonical shape (member links sorted, edges
@@ -34,6 +36,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -45,8 +48,8 @@ class IncrementalAnalyzer {
  public:
   struct Stats {
     std::size_t updates = 0;
-    std::size_t dst_recomputed = 0;    // routing column changed
-    std::size_t dst_reused = 0;        // cached ops replayed
+    std::size_t dst_recomputed = 0;    // a class's routing column changed
+    std::size_t dst_reused = 0;        // a class's cached ops replayed
     std::size_t scc_enumerations = 0;  // Johnson runs on one SCC
     std::size_t scc_reused = 0;        // cycle set served from cache
     std::size_t full_fallbacks = 0;    // report is the capped whole-graph set
@@ -68,11 +71,13 @@ class IncrementalAnalyzer {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct DstCache {
-    /// Exact routing column this cache entry was computed from:
-    /// next_hops(x, dst) for every node x, in node order. Starts empty
-    /// (never equal to a real column), so first use always recomputes.
-    std::vector<std::vector<topo::NodeIndex>> column;
+  struct ClassCache {
+    /// The stored column this entry was computed from (see
+    /// topo::RoutingTable::Column): row ends relative to the column's
+    /// start, and its hops. Starts empty (never equal to a real column,
+    /// which has one row end per node), so first use always recomputes.
+    std::vector<std::uint32_t> row_ends;
+    std::vector<topo::NodeIndex> hops;
     std::vector<topo::ClosureOp> ops;
   };
 
@@ -92,9 +97,9 @@ class IncrementalAnalyzer {
   };
 
   Input in_;
-  /// Parallel to in_.topo->hosts() (the destination order the from-scratch
-  /// closure uses).
-  std::vector<DstCache> dst_cache_;
+  /// One entry per destination class, by class number (the order the
+  /// from-scratch closure uses).
+  std::vector<ClassCache> class_cache_;
   /// Linear-scanned, FIFO-evicted (insertion order — deterministic).
   std::vector<SccCacheEntry> scc_cache_;
   Report report_;

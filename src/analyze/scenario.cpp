@@ -138,13 +138,16 @@ void build_loop2_scenario(BuiltScenario* out) {
   out->topo.add_link(h0, s0);
   out->topo.add_link(s0, s1);
   out->topo.add_link(s1, h1);
-  out->routing = topo::RoutingTable(out->topo.node_count());
-  out->routing.set_next_hops(h1, h0, {s1});
-  out->routing.set_next_hops(s1, h0, {s0});
-  out->routing.set_next_hops(s0, h0, {h0});
-  out->routing.set_next_hops(h0, h1, {s0});
-  out->routing.set_next_hops(s0, h1, {s1});
-  out->routing.set_next_hops(s1, h1, {s0});  // the bounce: never delivers
+  topo::RoutingTable::Builder table(out->topo.node_count());
+  table.begin_class({&h0, 1});
+  table.set_row(h1, {s1});
+  table.set_row(s0, {h0});
+  table.set_row(s1, {s0});
+  table.begin_class({&h1, 1});
+  table.set_row(h0, {s0});
+  table.set_row(s0, {s1});
+  table.set_row(s1, {s0});  // the bounce: never delivers
+  out->routing = std::move(table).finish();
   out->flows.push_back({h0, h1, 0});
   out->name = "loop2";
 }

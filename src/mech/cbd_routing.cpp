@@ -50,10 +50,13 @@ std::vector<int> switch_ranks(const topo::Topology& topo) {
 topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
                                    RoutingStats* stats) {
   const std::size_t n = topo.node_count();
-  topo::RoutingTable table(n);
   const std::vector<int> rank = switch_ranks(topo);
   const std::vector<NodeIndex>& switches = topo.switches();
   const std::vector<NodeIndex>& hosts = topo.hosts();
+  // Every distance below starts from the switches a destination hangs off,
+  // so hosts behind the same switches share one column.
+  const topo::HostClasses classes = topo::attachment_classes(topo);
+  topo::RoutingTable::Builder builder(n, classes.size());
 
   // Switches in descending rank (leaves first): the processing order that
   // makes the all-down distance computable in one pass, since every down
@@ -67,7 +70,10 @@ topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
 
   std::vector<int> ddist(n);   // hops to dst using down hops only
   std::vector<int> legal(n);   // hops to dst over any up* down* path
-  for (const NodeIndex dst : hosts) {
+  std::vector<NodeIndex> hops;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const NodeIndex dst = classes[c].front();
+    builder.begin_class(classes[c]);
     std::fill(ddist.begin(), ddist.end(), kInf);
     std::fill(legal.begin(), legal.end(), kInf);
     for (const auto& [s, link] : topo.neighbors(dst)) {
@@ -96,15 +102,22 @@ topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
           legal[vi] = legal[wi] + 1;
       }
     }
-    // Next hops, phase-free: descend as soon as possible. A switch with a
-    // finite down distance *only* offers down hops — even when an up detour
-    // would be shorter — so any packet position determines its phase and
-    // every realized path is up* down*.
-    for (const NodeIndex v : switches) {
-      const auto vi = static_cast<std::size_t>(v);
-      std::vector<NodeIndex> hops;
-      if (ddist[vi] == 1) {
-        hops.push_back(dst);
+    for (std::size_t vi = 0; vi < n; ++vi) {
+      const NodeIndex v = static_cast<NodeIndex>(vi);
+      hops.clear();
+      if (topo.is_host(v)) {
+        // Source hosts enter at their edge switch if it can reach dst (a
+        // switch has a route exactly when its legal distance is finite).
+        for (const auto& [s, link] : topo.neighbors(v)) {
+          if (!topo.is_host(s) && legal[static_cast<std::size_t>(s)] != kInf)
+            hops.push_back(s);
+        }
+      } else if (ddist[vi] == 1) {
+        // Next hops, phase-free: descend as soon as possible. A switch
+        // with a finite down distance *only* offers down hops — even when
+        // an up detour would be shorter — so any packet position
+        // determines its phase and every realized path is up* down*.
+        hops.push_back(topo::RoutingTable::kDeliver);
       } else if (ddist[vi] != kInf) {
         for (const auto& [w, link] : topo.neighbors(v)) {
           const auto wi = static_cast<std::size_t>(w);
@@ -119,23 +132,10 @@ topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
         }
       }
       std::sort(hops.begin(), hops.end());
-      table.set_next_hops(v, dst, std::move(hops));
-    }
-    // Source hosts enter at their edge switch (if it can reach dst).
-    for (const NodeIndex src : hosts) {
-      if (src == dst) continue;
-      std::vector<NodeIndex> hops;
-      for (const auto& [s, link] : topo.neighbors(src)) {
-        if (topo.is_host(s)) continue;
-        if (s == dst) continue;
-        if (legal[static_cast<std::size_t>(s)] != kInf ||
-            table.routable(s, dst))
-          hops.push_back(s);
-      }
-      std::sort(hops.begin(), hops.end());
-      table.set_next_hops(src, dst, std::move(hops));
+      if (!hops.empty()) builder.set_row(v, hops);
     }
   }
+  topo::RoutingTable table = std::move(builder).finish();
 
   if (stats != nullptr) {
     *stats = RoutingStats{};

@@ -18,6 +18,7 @@ void SwitchNode::ensure_tables() {
   const auto n = static_cast<std::size_t>(port_count());
   if (ingress_bytes_.size() < n) {
     ingress_bytes_.resize(n);
+    overflowing_.resize(n);
     inq_.resize(n);
     outq_.resize(n);
     rr_.resize(n);
@@ -85,13 +86,20 @@ void SwitchNode::account_enqueue(Packet& pkt, int in_port) {
   if (bytes > buffer_) {
     // Lossless invariant violated: a real switch would have dropped. We
     // keep the packet (the sim has memory) but record the violation; every
-    // test asserts this counter stays zero.
+    // test asserts this counter stays zero. The warning prints once per
+    // overflow episode; release_ingress re-arms it.
     ++network().counters().lossless_violations;
-    std::fprintf(stderr,
-                 "[WARN] %s: ingress buffer overflow on port %d prio %d "
-                 "(%lld > %lld)\n",
-                 name().c_str(), in_port, pkt.priority,
-                 static_cast<long long>(bytes), static_cast<long long>(buffer_));
+    std::uint8_t& episode = overflowing_[static_cast<std::size_t>(in_port)];
+    const auto bit = static_cast<std::uint8_t>(1u << pkt.priority);
+    if ((episode & bit) == 0) {
+      episode |= bit;
+      std::fprintf(stderr,
+                   "[WARN] %s: ingress buffer overflow on port %d prio %d "
+                   "(%lld > %lld)\n",
+                   name().c_str(), in_port, pkt.priority,
+                   static_cast<long long>(bytes),
+                   static_cast<long long>(buffer_));
+    }
   }
   pkt.ingress_port = in_port;
   network().trace_event(trace::EventType::kIngressEnqueue, id(), in_port,
@@ -249,6 +257,9 @@ void SwitchNode::release_ingress(Packet& pkt) {
                               [static_cast<std::size_t>(pkt.priority)];
   bytes -= pkt.size_bytes;
   assert(bytes >= 0);
+  if (bytes <= buffer_)
+    overflowing_[static_cast<std::size_t>(in_port)] &=
+        static_cast<std::uint8_t>(~(1u << pkt.priority));
   pkt.ingress_port = -1;
   pkt.out_port = -1;
   network().trace_event(trace::EventType::kIngressDequeue, id(), in_port,

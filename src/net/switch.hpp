@@ -124,6 +124,10 @@ class SwitchNode final : public Node {
   std::int64_t buffer_;
   EcnConfig ecn_;
   std::vector<std::array<std::int64_t, kNumPriorities>> ingress_bytes_;
+  /// Per ingress port, the priorities in an overflow episode (occupancy
+  /// over buffer_ since the last warning): one bit each.
+  std::vector<std::uint8_t> overflowing_;
+  static_assert(kNumPriorities <= 8);
   /// Input FIFOs per (ingress port, priority).
   std::vector<std::array<PacketFifo, kNumPriorities>> inq_;
   /// Egress queues per port (CIOQ: bounded by kEgressQueueCap per

@@ -42,42 +42,38 @@ void BufferDependencyGraph::add_path(const std::vector<NodeIndex>& path) {
   }
 }
 
-std::vector<ClosureOp> destination_closure_ops(const Topology& topo,
-                                               const RoutingTable& routing,
-                                               NodeIndex dst) {
+std::vector<ClosureOp> class_closure_ops(const Topology& topo,
+                                         const RoutingTable& routing,
+                                         std::size_t cls) {
   // Only switches actually reachable from some source host along the ECMP
   // DAG contribute dependencies: a next-hop table entry no packet can
   // arrive at (common after failures, when a switch keeps a bounce route
   // toward d but nothing routes *through* it toward d) must not fabricate
-  // cycles.
+  // cycles. Every host's row seeds the walk: a member's own row is the
+  // one the other members see (empty in a one-member class).
   std::vector<ClosureOp> ops;
   std::vector<char> reachable(topo.node_count());
   std::vector<NodeIndex> frontier;
-  for (NodeIndex s : topo.hosts()) {
-    if (s == dst) continue;
-    for (NodeIndex n : routing.next_hops(s, dst)) {
+  const auto reach = [&](NodeIndex from) {
+    for (NodeIndex n : routing.row(cls, from)) {
       if (!topo.is_host(n) && !reachable[static_cast<std::size_t>(n)]) {
         reachable[static_cast<std::size_t>(n)] = 1;
         frontier.push_back(n);
       }
     }
-  }
+  };
+  for (NodeIndex s : topo.hosts()) reach(s);
   while (!frontier.empty()) {
     const NodeIndex v = frontier.back();
     frontier.pop_back();
-    for (NodeIndex n : routing.next_hops(v, dst)) {
-      if (!topo.is_host(n) && !reachable[static_cast<std::size_t>(n)]) {
-        reachable[static_cast<std::size_t>(n)] = 1;
-        frontier.push_back(n);
-      }
-    }
+    reach(v);
   }
   for (NodeIndex s : topo.switches()) {
     if (!reachable[static_cast<std::size_t>(s)]) continue;
-    for (NodeIndex n : routing.next_hops(s, dst)) {
+    for (NodeIndex n : routing.row(cls, s)) {
       if (topo.is_host(n)) continue;
       ops.push_back({{s, n}, {}, false});
-      for (NodeIndex m : routing.next_hops(n, dst)) {
+      for (NodeIndex m : routing.row(cls, n)) {
         if (topo.is_host(m)) continue;
         ops.push_back({{s, n}, {n, m}, true});
       }
@@ -97,8 +93,8 @@ void BufferDependencyGraph::apply_ops(const std::vector<ClosureOp>& ops) {
 }
 
 void BufferDependencyGraph::add_routing_closure(const RoutingTable& routing) {
-  for (NodeIndex dst : topo_->hosts())
-    apply_ops(destination_closure_ops(*topo_, routing, dst));
+  for (std::size_t c = 0; c < routing.class_count(); ++c)
+    apply_ops(class_closure_ops(*topo_, routing, c));
 }
 
 void canonicalize_cycle(std::vector<DirectedLink>* cycle) {

@@ -27,10 +27,10 @@ struct CbdResult {
   std::vector<DirectedLink> cycle;
 };
 
-/// One step of a destination's routing-closure construction: ensure the
-/// vertex for `a` exists; when `edge` is set, also ensure `b`'s vertex and
-/// append the (deduplicated) dependency edge a -> b. Replaying a
-/// destination's op sequence performs exactly the vertex creations and
+/// One step of a destination class's routing-closure construction: ensure
+/// the vertex for `a` exists; when `edge` is set, also ensure `b`'s vertex
+/// and append the (deduplicated) dependency edge a -> b. Replaying a
+/// class's op sequence performs exactly the vertex creations and
 /// edge appends add_routing_closure would — in the same order — which is
 /// the contract the incremental analyzer's byte-identity rests on.
 struct ClosureOp {
@@ -48,8 +48,10 @@ class BufferDependencyGraph {
 
   /// Add dependencies for *every* ECMP option toward *every* host: the
   /// union routing closure. A cycle here means the scenario is CBD-prone
-  /// (the pre-filter used for Table 1). Equivalent to replaying
-  /// destination_closure_ops() for every host in hosts() order.
+  /// (the pre-filter used for Table 1). Replays class_closure_ops() once
+  /// per destination class, in class order; replaying a class again for
+  /// each further member would create no vertex and no edge, so this is
+  /// the per-host closure in hosts() order.
   void add_routing_closure(const RoutingTable& routing);
 
   /// Replay a recorded op sequence (see ClosureOp). Idempotent per op:
@@ -85,15 +87,16 @@ class BufferDependencyGraph {
   std::vector<std::vector<int>> edges_;
 };
 
-/// The op sequence add_routing_closure performs for one destination host,
-/// in execution order. A pure function of the topology's static structure
-/// (host/switch partition) and the routing column toward `dst`: two calls
-/// with equal columns return equal sequences, which is what lets the
-/// incremental analyzer cache per-destination ops and replay them
-/// unchanged after unrelated link flaps.
-std::vector<ClosureOp> destination_closure_ops(const Topology& topo,
-                                               const RoutingTable& routing,
-                                               NodeIndex dst);
+/// The op sequence add_routing_closure performs for destination class
+/// `cls` (the same as for each of its member hosts), in execution order.
+/// A pure function of the topology's static structure (host/switch
+/// partition) and the class's stored column: two calls with equal columns
+/// return equal sequences, which is what lets the incremental analyzer
+/// cache per-class ops and replay them unchanged after unrelated link
+/// flaps.
+std::vector<ClosureOp> class_closure_ops(const Topology& topo,
+                                         const RoutingTable& routing,
+                                         std::size_t cls);
 
 /// Rotate a cycle of directed links so the smallest link (lexicographic
 /// (from, to) order) comes first. The canonical form every witness and

@@ -52,14 +52,14 @@ Input input_for(const topo::Topology& t, const runner::ScenarioConfig& cfg,
 // (fail when up, restore when down), recompute shortest paths, and
 // compare full JSON bytes — the strictest equality the report offers.
 
-std::size_t run_flap_differential(topo::Topology& t,
-                                  const runner::ScenarioConfig& cfg,
-                                  const std::string& label, int deltas,
-                                  std::uint64_t seed) {
+std::size_t run_flap_differential(
+    topo::Topology& t, const runner::ScenarioConfig& cfg,
+    const std::string& label, int deltas, std::uint64_t seed,
+    const std::vector<topo::LinkIndex>& candidates,
+    std::vector<std::size_t>* class_counts = nullptr) {
   SCOPED_TRACE(label);
   const Input in = input_for(t, cfg, label);
   IncrementalAnalyzer inc(in);
-  const std::vector<topo::LinkIndex> candidates = t.switch_links();
   sim::Rng rng(seed);
   std::size_t mismatches = 0;
   for (int step = 0; step < deltas; ++step) {
@@ -70,6 +70,7 @@ std::size_t run_flap_differential(topo::Topology& t,
     else
       t.restore_link(li);
     const topo::RoutingTable routing = topo::compute_shortest_paths(t);
+    if (class_counts != nullptr) class_counts->push_back(routing.class_count());
     const std::string incremental = inc.update(routing).json();
     Input scratch = in;
     scratch.routing = &routing;
@@ -91,10 +92,14 @@ TEST(IncrementalDifferential, RingFlapSequencesMatchFromScratch) {
   runner::ScenarioConfig cfg = cli_config(runner::FcKind::kPfc, 300'000);
   topo::Topology r3;
   topo::build_ring(r3, 3);
-  EXPECT_EQ(run_flap_differential(r3, cfg, "flap-ring3", 3000, 101), 0u);
+  EXPECT_EQ(run_flap_differential(r3, cfg, "flap-ring3", 3000, 101,
+                                  r3.switch_links()),
+            0u);
   topo::Topology r6;
   topo::build_ring(r6, 6);
-  EXPECT_EQ(run_flap_differential(r6, cfg, "flap-ring6", 6500, 202), 0u);
+  EXPECT_EQ(run_flap_differential(r6, cfg, "flap-ring6", 6500, 202,
+                                  r6.switch_links()),
+            0u);
 }
 
 TEST(IncrementalDifferential, FatTreeFlapSequencesMatchFromScratch) {
@@ -103,7 +108,28 @@ TEST(IncrementalDifferential, FatTreeFlapSequencesMatchFromScratch) {
   runner::ScenarioConfig cfg = cli_config(runner::FcKind::kGfcBuffer, 300'000);
   topo::Topology t;
   topo::build_fattree(t, 4);
-  EXPECT_EQ(run_flap_differential(t, cfg, "flap-fattree4", 500, 303), 0u);
+  EXPECT_EQ(run_flap_differential(t, cfg, "flap-fattree4", 500, 303,
+                                  t.switch_links()),
+            0u);
+}
+
+TEST(IncrementalDifferential, HostLinkFlapsChangeTheClassesAndMatch) {
+  // Host links flap too, so hosts leave and rejoin their edge switch's
+  // destination class between updates: class numbers shift, and the
+  // per-class caches must still give from-scratch bytes.
+  runner::ScenarioConfig cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  topo::Topology t;
+  topo::build_fattree(t, 4);
+  std::vector<topo::LinkIndex> all(t.link_count());
+  for (std::size_t l = 0; l < all.size(); ++l)
+    all[l] = static_cast<topo::LinkIndex>(l);
+  std::vector<std::size_t> classes;
+  EXPECT_EQ(run_flap_differential(t, cfg, "flap-hosts-fattree4", 400, 505, all,
+                                  &classes),
+            0u);
+  std::sort(classes.begin(), classes.end());
+  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
+  EXPECT_GE(classes.size(), 3u);  // the partition really changed
 }
 
 TEST(IncrementalDifferential, TruncatingTopologyStillMatches) {
@@ -184,13 +210,18 @@ Islands make_islands(const std::vector<std::pair<Island, int>>& islands) {
     }
   }
 
-  out.routing = topo::RoutingTable(t.node_count());
+  // One class per host; each member adds its switch, then its host, so
+  // rows go in ascending node order.
+  topo::RoutingTable::Builder table(t.node_count());
   for (const Member& d : members) {
     const auto& s = sws[d.island];
-    out.routing.set_next_hops(d.sw, d.host, {d.host});
+    table.begin_class({&d.host, 1});
     for (const Member& m : members) {
-      if (m.island != d.island || m.sw == d.sw) continue;
-      out.routing.set_next_hops(m.host, d.host, {m.sw});
+      if (m.island != d.island) continue;
+      if (m.sw == d.sw) {
+        table.set_row(d.sw, {d.host});
+        continue;
+      }
       std::vector<topo::NodeIndex> hops;
       if (islands[d.island].first == Island::kRing) {
         const auto at = std::find(s.begin(), s.end(), m.sw) - s.begin();
@@ -199,9 +230,11 @@ Islands make_islands(const std::vector<std::pair<Island, int>>& islands) {
         for (const topo::NodeIndex n : s)
           if (n != m.sw) hops.push_back(n);
       }
-      out.routing.set_next_hops(m.sw, d.host, std::move(hops));
+      table.set_row(m.sw, hops);
+      table.set_row(m.host, {m.sw});
     }
   }
+  out.routing = std::move(table).finish();
   return out;
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "net/ecmp.hpp"
 #include "net/network.hpp"
@@ -105,6 +107,65 @@ class TwoHostFixture : public ::testing::Test {
   Network net_;
   NodeId h0_, h1_, s0_;
 };
+
+/// Lines of `err` that are ingress-overflow warnings.
+int overflow_warnings(const std::string& err) {
+  int n = 0;
+  for (std::size_t at = err.find("ingress buffer overflow");
+       at != std::string::npos; at = err.find("ingress buffer overflow", at + 1))
+    ++n;
+  return n;
+}
+
+TEST(SwitchOverflow, WarnsOncePerEpisodeAndCountsEveryPacket) {
+  // Data arrives on ports 0 and 1 for H2 behind port 2, whose link is down
+  // so nothing leaves until the test polls. 10 KB into a 5 KB buffer is
+  // five violations and one warning; a drain back to the buffer re-arms it.
+  Network net;
+  std::vector<NodeId> hosts;
+  for (int i = 0; i < 3; ++i)
+    hosts.push_back(net.add_host("H" + std::to_string(i)).id());
+  SwitchNode& sw = net.add_switch("S", 5'000);
+  for (const NodeId h : hosts) net.connect(h, sw.id(), gbps(10), 0);
+  sw.set_route(hosts[2], {2});
+  net.set_link_state(sw.id(), hosts[2], false);
+  const auto arrive = [&](int port) {
+    Packet* p = net.pool().acquire();
+    p->size_bytes = 1000;
+    p->dst = hosts[2];
+    sw.receive(p, port);
+  };
+  const auto drain_one = [&] {
+    sim::TimePs wake_at = sim::kTimeNever;
+    bool waiting = false;
+    Packet* p = sw.poll_data(2, net.sched().now(), &wake_at, true, &waiting);
+    ASSERT_NE(p, nullptr);
+    sw.on_departure(*p, 2);
+    net.free_packet(p);
+  };
+
+  testing::internal::CaptureStderr();
+  for (int i = 0; i < 10; ++i) arrive(0);
+  EXPECT_EQ(overflow_warnings(testing::internal::GetCapturedStderr()), 1);
+  EXPECT_EQ(net.counters().lossless_violations, 5u);
+
+  testing::internal::CaptureStderr();
+  for (int i = 0; i < 4; ++i) drain_one();  // 6 KB: still the same episode
+  arrive(0);
+  EXPECT_EQ(overflow_warnings(testing::internal::GetCapturedStderr()), 0);
+  EXPECT_EQ(net.counters().lossless_violations, 6u);
+
+  testing::internal::CaptureStderr();
+  for (int i = 0; i < 6; ++i) arrive(1);  // another port: its own episode
+  EXPECT_EQ(overflow_warnings(testing::internal::GetCapturedStderr()), 1);
+  EXPECT_EQ(net.counters().lossless_violations, 7u);
+
+  testing::internal::CaptureStderr();
+  for (int i = 0; i < 2; ++i) drain_one();  // port 0 back to 5 KB
+  arrive(0);
+  EXPECT_EQ(overflow_warnings(testing::internal::GetCapturedStderr()), 1);
+  EXPECT_EQ(net.counters().lossless_violations, 8u);
+}
 
 TEST_F(TwoHostFixture, SinglepacketTiming) {
   net_.create_flow(h0_, h1_, 0, 1500, 0);
