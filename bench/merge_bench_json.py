@@ -144,7 +144,8 @@ def gbench_run(label: str, commit: str, raw: dict) -> dict:
             {
                 k: b[k]
                 for k in ("name", "iterations", "real_time", "cpu_time",
-                          "time_unit", "items_per_second", "label")
+                          "time_unit", "items_per_second", "allocs_per_iter",
+                          "label")
                 if k in b
             }
             for b in raw.get("benchmarks", [])
