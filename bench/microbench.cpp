@@ -18,6 +18,7 @@
 #include "sim/scheduler.hpp"
 #include "topo/routing.hpp"
 #include "topo/scenario_gen.hpp"
+#include "topo/topology.hpp"
 
 namespace {
 
@@ -148,6 +149,43 @@ void BM_SchedulerSameTimestampBurst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SchedulerSameTimestampBurst);
+
+void BM_SchedulerFabricMix(benchmark::State& state) {
+  // The ready queue alone under a packet engine's timer mix: one
+  // registered timer per egress port and one per wire of a k-ary fat-tree
+  // (two directions per link). Each timer re-fires itself 51.2 ns (a
+  // control frame's transmit time), 1 us (a wire's propagation delay) or
+  // 1.2 us (a 1500 B transmit time) ahead, in turn, so the events due per
+  // tick grow with k. Items are events executed; an iteration runs 10 us
+  // of simulated time.
+  const int k = static_cast<int>(state.range(0));
+  topo::Topology topo;
+  topo::build_fattree(topo, k);
+  const std::size_t n_timers = 4 * topo.link_count();
+  static constexpr sim::TimePs kDelays[3] = {sim::ns(51.2), sim::us(1),
+                                             sim::us(1.2)};
+  sim::Scheduler sched;
+  std::vector<sim::TimerId> timers(n_timers);
+  std::vector<std::uint8_t> phase(n_timers);
+  for (std::size_t i = 0; i < n_timers; ++i) {
+    phase[i] = static_cast<std::uint8_t>(i % 3);
+    timers[i] = sched.register_timer([&sched, &timers, &phase, i] {
+      std::uint8_t& p = phase[i];
+      sched.fire_at(timers[i], sched.now() + kDelays[p]);
+      p = static_cast<std::uint8_t>(p == 2 ? 0 : p + 1);
+    });
+    // Spread the first firings over one 1.2 us period.
+    sched.fire_at(timers[i],
+                  static_cast<sim::TimePs>(i * 7919) % sim::us(1.2));
+  }
+  const std::uint64_t events0 = sched.executed_events();
+  const AllocsPerIter allocs(state);
+  for (auto _ : state) sched.run_until(sched.now() + sim::us(10));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(sched.executed_events() - events0));
+  state.counters["timers"] = benchmark::Counter(static_cast<double>(n_timers));
+}
+BENCHMARK(BM_SchedulerFabricMix)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_PacketPoolCycle(benchmark::State& state) {
   net::PacketPool pool;

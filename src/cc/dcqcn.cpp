@@ -86,8 +86,7 @@ void DcqcnModule::on_data_received(net::HostNode& rx, net::Flow& flow,
   cnp->size_bytes = net::kControlFrameBytes;
   cnp->src = rx.id();
   cnp->dst = flow.src;
-  cnp->flow = flow.id;
-  cnp->path_salt = flow.path_salt;
+  cnp->set_flow(flow.id, flow.path_salt);
   cnp->created_at = now;
   ++cnps_sent_;
   rx.inject(cnp);

@@ -25,7 +25,7 @@ void GfcConceptualModule::maybe_report(int port, int prio) {
   last = q;
   net::Packet* frame = node().make_control(net::PacketType::kGfcQueue);
   frame->fc_priority = prio;
-  frame->fc_value = q;
+  frame->set_fc_value(q);
   network().trace_event(trace::EventType::kQsampleTx, node().id(), port, prio,
                         frame->id, q);
   node().send_control(port, frame);
@@ -44,8 +44,8 @@ void GfcConceptualModule::on_ingress_dequeue(int port, int prio,
 
 sim::Rate GfcConceptualModule::on_feedback(int port, const net::Packet& pkt) {
   network().trace_event(trace::EventType::kQsampleRx, node().id(), port,
-                        pkt.fc_priority, pkt.id, pkt.fc_value);
-  return mapping_.rate_for(pkt.fc_value);
+                        pkt.fc_priority, pkt.id, pkt.fc_value());
+  return mapping_.rate_for(pkt.fc_value());
 }
 
 }  // namespace gfc::core

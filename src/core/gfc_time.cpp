@@ -27,17 +27,17 @@ void GfcTimeModule::send_samples(int port) {
     if ((mask & (1u << prio)) == 0) continue;
     net::Packet* frame = node().make_control(net::PacketType::kGfcQueue);
     frame->fc_priority = prio;
-    frame->fc_value = sw->ingress_bytes(port, prio);
+    frame->set_fc_value(sw->ingress_bytes(port, prio));
     network().trace_event(trace::EventType::kQsampleTx, node().id(), port,
-                          prio, frame->id, frame->fc_value);
+                          prio, frame->id, frame->fc_value());
     node().send_control(port, frame);
   }
 }
 
 sim::Rate GfcTimeModule::on_feedback(int port, const net::Packet& pkt) {
   network().trace_event(trace::EventType::kQsampleRx, node().id(), port,
-                        pkt.fc_priority, pkt.id, pkt.fc_value);
-  return mapping_.rate_for(pkt.fc_value);
+                        pkt.fc_priority, pkt.id, pkt.fc_value());
+  return mapping_.rate_for(pkt.fc_value());
 }
 
 }  // namespace gfc::core

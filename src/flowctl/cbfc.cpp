@@ -48,11 +48,11 @@ void CbfcModule::send_credits(int port) {
     if ((mask & (1u << prio)) == 0) continue;
     Packet* frame = node().make_control(PacketType::kCredit);
     frame->fc_priority = prio;
-    frame->fc_value = fwd_blocks_[static_cast<std::size_t>(port)]
-                                 [static_cast<std::size_t>(prio)] +
-                      cfg_.buffer_blocks();
+    frame->set_fc_value(fwd_blocks_[static_cast<std::size_t>(port)]
+                                   [static_cast<std::size_t>(prio)] +
+                        cfg_.buffer_blocks());
     network().trace_event(trace::EventType::kCreditTx, node().id(), port, prio,
-                          frame->id, frame->fc_value);
+                          frame->id, frame->fc_value());
     node().send_control(port, frame);
   }
 }
@@ -67,8 +67,8 @@ void CbfcModule::on_control(int port, const Packet& pkt) {
   CreditGate* gate = gates_[static_cast<std::size_t>(port)];
   if (gate == nullptr) return;
   network().trace_event(trace::EventType::kCreditRx, node().id(), port,
-                        pkt.fc_priority, pkt.id, pkt.fc_value);
-  gate->update_fccl(pkt.fc_priority, pkt.fc_value);
+                        pkt.fc_priority, pkt.id, pkt.fc_value());
+  gate->update_fccl(pkt.fc_priority, pkt.fc_value());
   node().port(port).kick();
 }
 

@@ -13,7 +13,7 @@ void DcfitModule::on_attach() {
   refresh_count_.assign(n, {});
 }
 
-bool DcfitModule::origin_seq_live(int prio, std::uint64_t seq) const {
+bool DcfitModule::origin_seq_live(int prio, std::uint32_t seq) const {
   for (const auto& ports : origin_) {
     const OriginState& o = ports[static_cast<std::size_t>(prio)];
     if (o.active && o.seq == seq) return true;
@@ -41,8 +41,7 @@ void DcfitModule::attach_trigger(net::Packet& frame, int port, int prio,
       // origin entries have since resumed, and a cycle of dead triggers
       // detects nothing forever. Fall through and originate fresh instead.
       if (in.origin == node().id() && !origin_seq_live(prio, in.seq)) continue;
-      frame.fc_trigger_origin = in.origin;
-      frame.fc_trigger_seq = in.seq;
+      frame.set_fc_trigger(in.origin, in.seq);
       network().trace_event(trace::EventType::kTriggerPropagate, node().id(),
                             port, prio, in.seq, in.origin);
       return;
@@ -60,8 +59,7 @@ void DcfitModule::attach_trigger(net::Packet& frame, int port, int prio,
     network().trace_event(trace::EventType::kTriggerOriginate, node().id(),
                           port, prio, o.seq, 0);
   }
-  frame.fc_trigger_origin = node().id();
-  frame.fc_trigger_seq = o.seq;
+  frame.set_fc_trigger(node().id(), o.seq);
 }
 
 void DcfitModule::decorate_pause(net::Packet& frame, int port, int prio) {
@@ -116,15 +114,15 @@ void DcfitModule::on_pause_state(int port, int prio, bool pause) {
 void DcfitModule::on_pause_rx(int port, const net::Packet& pkt) {
   const int prio = pkt.fc_priority;
   incoming_[static_cast<std::size_t>(port)][static_cast<std::size_t>(prio)] = {
-      pkt.fc_trigger_origin, pkt.fc_trigger_seq};
-  if (pkt.fc_trigger_origin != node().id()) return;
+      pkt.fc_trigger_origin(), pkt.fc_trigger_seq()};
+  if (pkt.fc_trigger_origin() != node().id()) return;
   // Our own trigger came back. Liveness re-check: the originating pause
   // must still be standing, else the chain resolved while the trigger was
   // in flight — a false positive, counted and ignored.
   for (int p = 0; p < node().port_count(); ++p) {
     const OriginState& o =
         origin_[static_cast<std::size_t>(p)][static_cast<std::size_t>(prio)];
-    if (!o.active || o.seq != pkt.fc_trigger_seq) continue;
+    if (!o.active || o.seq != pkt.fc_trigger_seq()) continue;
     ++detections_;
     const sim::TimePs latency = sched().now() - o.originated_at;
     if (first_latency_ < 0) first_latency_ = latency;

@@ -80,14 +80,14 @@ class DcfitModule final : public flowctl::PfcModule {
   /// Trigger this node originated when pausing ingress (port, prio).
   struct OriginState {
     bool active = false;
-    std::uint64_t seq = 0;
+    std::uint32_t seq = 0;
     sim::TimePs originated_at = 0;
   };
   /// Trigger recorded from the downstream's last PAUSE of egress
   /// (port, prio); origin == kInvalidNode when none.
   struct IncomingTrigger {
     net::NodeId origin = net::kInvalidNode;
-    std::uint64_t seq = 0;
+    std::uint32_t seq = 0;
   };
 
   /// Every this-many trigger refreshes of one outstanding pause, skip the
@@ -103,7 +103,7 @@ class DcfitModule final : public flowctl::PfcModule {
                       bool allow_propagate = true);
   /// True when `seq` is a trigger this node originated and whose pause is
   /// still standing.
-  bool origin_seq_live(int prio, std::uint64_t seq) const;
+  bool origin_seq_live(int prio, std::uint32_t seq) const;
   void arm_trigger_refresh(int port, int prio);
   void break_deadlock(int egress, int prio);
 
@@ -112,7 +112,8 @@ class DcfitModule final : public flowctl::PfcModule {
   std::vector<std::array<IncomingTrigger, net::kNumPriorities>> incoming_;
   std::vector<std::array<sim::EventId, net::kNumPriorities>> refresh_;
   std::vector<std::array<std::uint8_t, net::kNumPriorities>> refresh_count_;
-  std::uint64_t next_seq_ = 0;
+  /// Node-local trigger sequence; 32 bits, as the PAUSE frame carries it.
+  std::uint32_t next_seq_ = 0;
   std::vector<int> head_targets_;  // scratch for attach_trigger
 
   int detections_ = 0;

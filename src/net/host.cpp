@@ -54,8 +54,7 @@ void HostNode::stage_next(std::size_t idx) {
   pkt->size_bytes = len;
   pkt->src = flow.src;
   pkt->dst = flow.dst;
-  pkt->flow = flow.id;
-  pkt->path_salt = flow.path_salt;
+  pkt->set_flow(flow.id, flow.path_salt);
   pkt->created_at = sched_ref().now();
   flow.bytes_enqueued += len;
   sf.staged = true;
@@ -80,13 +79,13 @@ Packet* HostNode::poll_data(int egress_port, sim::TimePs now,
 }
 
 void HostNode::on_departure(Packet& pkt, int /*out_port*/) {
-  if (pkt.flow == kInvalidFlow || pkt.type != PacketType::kData) return;
+  if (pkt.type != PacketType::kData || pkt.flow() == kInvalidFlow) return;
   std::size_t idx = 0;
-  SenderFlow* sf = find_sender(pkt.flow, &idx);
+  SenderFlow* sf = find_sender(pkt.flow(), &idx);
   if (sf == nullptr) return;
   if (pkt.src != id()) return;
   sf->staged = false;
-  Flow& flow = network().flow(pkt.flow);
+  Flow& flow = network().flow(pkt.flow());
   if (network().cc()) network().cc()->on_data_sent(*this, flow, pkt);
   if (flow.sender_done()) {
     drop_sender(idx);
@@ -102,7 +101,7 @@ void HostNode::on_departure(Packet& pkt, int /*out_port*/) {
   if (extra <= 0) {
     stage_next(idx);
   } else {
-    const FlowId fid = pkt.flow;
+    const FlowId fid = pkt.flow();
     sf->timer = sched_ref().schedule_in(extra, [this, fid] {
       std::size_t i = 0;
       if (find_sender(fid, &i) != nullptr) stage_next(i);
@@ -130,20 +129,20 @@ void HostNode::receive(Packet* pkt, int in_port) {
     return;
   }
   if (pkt->type == PacketType::kCnp) {
-    Flow& flow = network().flow(pkt->flow);
+    Flow& flow = network().flow(pkt->flow());
     if (network().cc()) network().cc()->on_cnp(*this, flow, *pkt);
     network().free_packet(pkt);
     return;
   }
   assert(pkt->type == PacketType::kData);
   assert(pkt->dst == id() && "data packet delivered to wrong host");
-  Flow& flow = network().flow(pkt->flow);
+  Flow& flow = network().flow(pkt->flow());
   flow.bytes_delivered += pkt->size_bytes;
   auto& counters = network().counters();
   ++counters.data_packets_delivered;
   counters.data_bytes_delivered += pkt->size_bytes;
   network().trace_event(trace::EventType::kDeliver, id(), in_port,
-                        pkt->priority, static_cast<std::uint64_t>(pkt->flow),
+                        pkt->priority, static_cast<std::uint64_t>(pkt->flow()),
                         pkt->size_bytes);
   network().notify_delivery(*pkt);
   if (network().cc()) network().cc()->on_data_received(*this, flow, *pkt);

@@ -82,9 +82,8 @@ Packet* Network::clone_control(const Packet& src) {
   pkt->dst = src.dst;
   pkt->fc_priority = src.fc_priority;
   pkt->fc_stage = src.fc_stage;
-  pkt->fc_value = src.fc_value;
-  pkt->fc_trigger_origin = src.fc_trigger_origin;
-  pkt->fc_trigger_seq = src.fc_trigger_seq;
+  pkt->set_fc_value(src.fc_value());
+  pkt->set_fc_trigger(src.fc_trigger_origin(), src.fc_trigger_seq());
   pkt->created_at = src.created_at;
   return pkt;
 }

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cassert>
+#include <cstdint>
+#include <limits>
 
 #include "net/network.hpp"
 
@@ -35,6 +37,8 @@ Node::Node(Network& net, NodeId id, std::string name)
 
 int Node::add_port(sim::Rate rate) {
   const int idx = static_cast<int>(ports_.size());
+  // Packet carries port indices in 16 bits.
+  assert(idx < std::numeric_limits<std::int16_t>::max());
   ports_.push_back(std::make_unique<EgressPort>(*this, idx, rate));
   peers_.push_back(Peer{});
   return idx;

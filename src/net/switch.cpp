@@ -26,7 +26,8 @@ void SwitchNode::ensure_tables() {
   }
 }
 
-void SwitchNode::set_route(NodeId dst, std::vector<std::int32_t> out_ports) {
+void SwitchNode::set_route(NodeId dst,
+                           std::span<const std::int32_t> out_ports) {
   const auto idx = static_cast<std::size_t>(dst);
   if (route_ref_.size() <= idx) route_ref_.resize(idx + 1);
   route_ref_[idx] = RouteRef{static_cast<std::uint32_t>(route_slots_.size()),
@@ -49,7 +50,7 @@ int SwitchNode::route_for(const Packet& pkt) const {
   // Deterministic ECMP: hash the flow's path salt with this switch's id so
   // consecutive hops don't make correlated choices. Flowless packets
   // (should not occur for routed traffic) fall back to their packet id.
-  const std::uint64_t salt = pkt.flow >= 0 ? pkt.path_salt : pkt.id;
+  const std::uint64_t salt = pkt.flow() >= 0 ? pkt.path_salt() : pkt.id;
   return candidates[ecmp_select(salt, id(), ref.n)];
 }
 

@@ -26,6 +26,8 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "net/node.hpp"
@@ -63,8 +65,13 @@ class SwitchNode final : public Node {
                     bool consume, bool* any_waiting) override;
 
   // --- forwarding ---------------------------------------------------------
-  /// Equal-cost candidate out-ports toward destination host `dst`.
-  void set_route(NodeId dst, std::vector<std::int32_t> out_ports);
+  /// Equal-cost candidate out-ports toward destination host `dst` (copied
+  /// into the switch's flat table).
+  void set_route(NodeId dst, std::span<const std::int32_t> out_ports);
+  void set_route(NodeId dst, std::initializer_list<std::int32_t> out_ports) {
+    set_route(dst, std::span<const std::int32_t>(out_ports.begin(),
+                                                 out_ports.size()));
+  }
   void clear_routes();
   /// Selected out-port for this packet (-1 if unroutable). ECMP choice is
   /// a deterministic hash of the flow's path salt.

@@ -11,7 +11,7 @@ ThroughputSampler::ThroughputSampler(net::Network& net, sim::TimePs bin_width,
 std::int64_t ThroughputSampler::key_of(const net::Packet& pkt) const {
   switch (key_) {
     case Key::kAggregate: return 0;
-    case Key::kPerFlow: return pkt.flow;
+    case Key::kPerFlow: return pkt.flow();
     case Key::kPerSrcHost: return pkt.src;
   }
   return 0;

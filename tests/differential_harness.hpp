@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -43,6 +44,7 @@ struct Op {
     kCancelTimer,  // drop every pending firing of timers[sel]
     kStep,
     kRunUntil,  // drain to now + delta
+    kFrameEdge,  // one event at the next level-0 frame boundary + delta
   };
   Kind kind;
   std::uint32_t count;  // kBurst width, kFireTimer firings
@@ -50,31 +52,52 @@ struct Op {
   TimePs delta;         // time offset for schedule/arm/run_until
 };
 
-// Timestamp deltas that probe every structural boundary of the wheel:
-// tick 0 (near list), exact bucket boundaries and off-by-ones, each
-// level-promotion frontier (2^(17+6k)), the last in-wheel frame, the
-// first overflow tick and deep overflow, plus generic near-term noise.
+// Timestamp deltas that probe every structural boundary of the wheel,
+// taken from the engine's own geometry so they follow it: tick 0 (near
+// batch), one-tick edges and off-by-ones, anywhere in level 0, the
+// level-0 span +-1 tick (the first cascade), each upper level's frontier
+// and slot multiples, the last in-wheel tick, the first overflow tick and
+// deep overflow, plus generic near-term noise.
 inline TimePs adversarial_delta(std::mt19937_64& rng) {
-  constexpr TimePs kTick = TimePs{1} << 17;      // one wheel tick
-  constexpr TimePs kHorizon = kTick << (6 * 4);  // 64^4 ticks
-  switch (rng() % 16) {
-    case 0: return 0;                            // same instant
-    case 1: return 1;                            // same tick
-    case 2: return kTick - 1;                    // last ps of tick 0
-    case 3: return kTick;                        // exact tick boundary
+  constexpr TimePs kTick = Scheduler::kTickPs;
+  constexpr TimePs kL0 = Scheduler::kLevel0SpanPs;
+  constexpr TimePs kL1 = Scheduler::kLevelSpanPs[1];
+  constexpr TimePs kL2 = Scheduler::kLevelSpanPs[2];
+  constexpr TimePs kHorizon = Scheduler::kHorizonPs;
+  const auto pick = [&rng](std::uint64_t n) {
+    return static_cast<TimePs>(rng() % n);
+  };
+  switch (rng() % 20) {
+    case 0: return 0;                          // same instant
+    case 1: return 1;                          // same tick
+    case 2: return kTick - 1;                  // last ps of the tick
+    case 3: return kTick;                      // exact tick boundary
     case 4: return kTick + 1;
-    case 5: return kTick * (1 + static_cast<TimePs>(rng() % 63));  // level 0
-    case 6: return kTick << 6;                   // level-1 frontier
-    case 7: return (kTick << 6) * static_cast<TimePs>(1 + rng() % 63);
-    case 8: return kTick << 12;                  // level-2 frontier
-    case 9: return kTick << 18;                  // level-3 frontier
-    case 10: return (kTick << 18) * static_cast<TimePs>(1 + rng() % 63);
-    case 11: return kHorizon - kTick;            // last in-wheel frame
-    case 12: return kHorizon;                    // first overflow tick
-    case 13: return kHorizon + static_cast<TimePs>(rng() % (1u << 20));
-    case 14: return kHorizon * static_cast<TimePs>(1 + rng() % 7);  // deep
-    default: return static_cast<TimePs>(rng() % 200000);  // generic near
+    case 5: return kTick * (1 + pick(4095));   // anywhere in level 0
+    case 6: return kL0 - kTick;                // last level-0 tick
+    case 7: return kL0;                        // level-1 frontier
+    case 8: return kL0 + kTick;
+    case 9: return kL0 * (1 + pick(63));       // level-1 slots
+    case 10: return kL1;                       // level-2 frontier
+    case 11: return kL1 * (1 + pick(63));
+    case 12: return kL2;                       // level-3 frontier
+    case 13: return kL2 * (1 + pick(63));
+    case 14: return kHorizon - kTick;          // last in-wheel tick
+    case 15: return kHorizon;                  // first overflow tick
+    case 16: return kHorizon + pick(1u << 20);
+    case 17: return kHorizon * (1 + pick(7));  // deep overflow
+    default: return pick(200000);              // generic near
   }
+}
+
+// Offsets around the next level-0 frame boundary (Op::kFrameEdge). An
+// event there, scheduled from late in a frame, sits in a level-0 slot
+// below the cursor's: the next pop wraps the frame, just past the fast
+// path.
+inline TimePs frame_edge_offset(std::mt19937_64& rng) {
+  constexpr TimePs kTick = Scheduler::kTickPs;
+  constexpr TimePs kOffsets[] = {-kTick, -1, 0, 1, kTick, 2 * kTick};
+  return kOffsets[rng() % std::size(kOffsets)];
 }
 
 inline std::vector<Op> make_script(std::uint64_t seed, std::size_t n_ops) {
@@ -84,9 +107,12 @@ inline std::vector<Op> make_script(std::uint64_t seed, std::size_t n_ops) {
   for (std::size_t i = 0; i < n_ops; ++i) {
     Op op{};
     const std::uint32_t roll = static_cast<std::uint32_t>(rng() % 100);
-    if (roll < 30) {
+    if (roll < 26) {
       op.kind = Op::kSchedule;
       op.delta = adversarial_delta(rng);
+    } else if (roll < 30) {
+      op.kind = Op::kFrameEdge;
+      op.delta = frame_edge_offset(rng);
     } else if (roll < 40) {
       op.kind = Op::kBurst;  // dense same-instant churn
       op.count = 2 + static_cast<std::uint32_t>(rng() % 7);
@@ -164,6 +190,11 @@ class Harness {
       case Op::kRunUntil:
         s_.run_until(s_.now() + op.delta);
         break;
+      case Op::kFrameEdge: {
+        constexpr TimePs kL0 = Scheduler::kLevel0SpanPs;
+        schedule_one((s_.now() / kL0 + 1) * kL0 + op.delta);
+        break;
+      }
     }
   }
 

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "cc/dcqcn.hpp"
 #include "net/ecmp.hpp"
 #include "net/network.hpp"
 
@@ -380,6 +383,97 @@ TEST_F(TwoHostFixture, ControlFramesBypassBlockedData) {
   const auto before = net_.sw(s0_)->port(1).tx_control_frames();
   net_.run_until(us(60));
   EXPECT_EQ(net_.sw(s0_)->port(1).tx_control_frames(), before + 1);
+}
+
+// A packet is one cache line. Routed packets and link-control frames
+// share payload storage, so a fresh packet of either kind must still read
+// that kind's defaults — a control frame built on a pool packet must not
+// see a data packet's flow id as its fc_value.
+static_assert(sizeof(Packet) == 64);
+static_assert(alignof(Packet) == 64);
+
+/// Records every CNP its port starts transmitting; never blocks.
+class CnpCapture final : public TxGate {
+ public:
+  bool allowed(const Packet&, sim::TimePs, sim::TimePs*) override {
+    return true;
+  }
+  void on_transmit(const Packet& pkt, sim::TimePs) override {
+    if (pkt.type == PacketType::kCnp) cnps.push_back(pkt);
+  }
+  std::vector<Packet> cnps;
+};
+
+void expect_control_defaults(const Packet& p) {
+  EXPECT_TRUE(p.is_control());
+  EXPECT_EQ(p.fc_value(), 0);
+  EXPECT_EQ(p.fc_trigger_origin(), kInvalidNode);
+  EXPECT_EQ(p.fc_trigger_seq(), 0u);
+  EXPECT_EQ(p.fc_priority, 0);
+  EXPECT_EQ(p.fc_stage, 0);
+  EXPECT_EQ(p.size_bytes, kControlFrameBytes);
+}
+
+TEST_F(TwoHostFixture, FreshPacketsCarryTheirKindsDefaults) {
+  // Data packets from the pool, fresh and recycled after carrying a flow.
+  PacketPool pool;
+  std::vector<Packet*> data;
+  for (int i = 0; i < 3; ++i) data.push_back(pool.acquire());
+  data[0]->set_flow(7, 99);
+  pool.release(data[0]);
+  data[0] = pool.acquire();
+  for (const Packet* p : data) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
+    EXPECT_EQ(p->type, PacketType::kData);
+    EXPECT_EQ(p->flow(), kInvalidFlow);
+    EXPECT_EQ(p->path_salt(), 0u);
+    EXPECT_EQ(p->ingress_port, -1);
+    EXPECT_EQ(p->out_port, -1);
+  }
+  for (Packet* p : data) pool.release(p);
+
+  // Control frames: make_control on a recycled packet, and clones.
+  Packet* used = net_.pool().acquire();
+  used->set_flow(5, 1234);
+  net_.free_packet(used);
+  Packet* ctrl = net_.sw(s0_)->make_control(PacketType::kPfcPause);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ctrl) % 64, 0u);
+  expect_control_defaults(*ctrl);
+  Packet* clone = net_.clone_control(*ctrl);
+  expect_control_defaults(*clone);
+  ctrl->set_fc_value(-7);
+  ctrl->set_fc_trigger(s0_, 42);
+  Packet* clone2 = net_.clone_control(*ctrl);
+  EXPECT_EQ(clone2->fc_value(), -7);
+  EXPECT_EQ(clone2->fc_trigger_origin(), s0_);
+  EXPECT_EQ(clone2->fc_trigger_seq(), 42u);
+  for (Packet* p : {ctrl, clone, clone2}) net_.free_packet(p);
+
+  // The DCQCN CNP: routed like data, carrying the notified flow and its
+  // path salt.
+  auto dcqcn = std::make_unique<cc::DcqcnModule>(net_, cc::DcqcnConfig{});
+  cc::DcqcnModule* cc = dcqcn.get();
+  net_.set_cc(std::move(dcqcn));
+  Flow& flow = net_.create_flow(h0_, h1_, 0, 1500, us(100));
+  auto gate = std::make_unique<CnpCapture>();
+  CnpCapture* capture = gate.get();
+  net_.host(h1_)->port(0).set_gate(std::move(gate));
+  Packet marked;
+  marked.ecn_ce = true;
+  marked.set_flow(flow.id, flow.path_salt);
+  cc->on_data_received(*net_.host(h1_), flow, marked);
+  net_.run_until(us(5));
+  ASSERT_EQ(capture->cnps.size(), 1u);
+  const Packet& cnp = capture->cnps[0];
+  EXPECT_FALSE(cnp.is_control());
+  EXPECT_EQ(cnp.flow(), flow.id);
+  EXPECT_EQ(cnp.path_salt(), flow.path_salt);
+  EXPECT_EQ(cnp.src, h1_);
+  EXPECT_EQ(cnp.dst, h0_);
+  EXPECT_EQ(cnp.size_bytes, kControlFrameBytes);
+  EXPECT_EQ(cnp.fc_priority, 0);
+  EXPECT_EQ(cnp.fc_stage, 0);
+  EXPECT_FALSE(cnp.ecn_ce);
 }
 
 TEST_F(TwoHostFixture, EcnThresholdMarking) {

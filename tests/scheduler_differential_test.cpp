@@ -10,9 +10,10 @@
 // to both and asserts the execution traces (callback tag, firing time)
 // match exactly, along with now(), pending_events(), and every cancel and
 // step result. The script generator lands timestamps on the wheel's
-// structural boundaries: tick 0, exact bucket edges, level-promotion
-// frontiers, the 64^4-tick horizon (overflow heap), and far run_until
-// jumps that force multi-level cascades.
+// structural boundaries, read from Scheduler's published geometry: tick
+// 0, exact tick edges, the level-0 span +-1 tick, level-promotion
+// frontiers, level-0 frame wraps, the horizon (overflow heap), and far
+// run_until jumps that force multi-level cascades.
 //
 // tests/scheduler_fuzz.cpp runs the same harness over open-ended seed
 // sweeps; this file pins fixed seeds so CI failures reproduce directly.
@@ -47,9 +48,9 @@ TEST(SchedulerDifferential, SameInstantBurstKeepsFifoOrder) {
   Harness<testref::ReferenceScheduler> ref;
   // 64 events at one instant on a tick boundary, interleaved with cancels
   // (some of stale ids), then a full drain.
-  Op burst{Op::kBurst, 64, 0, TimePs{1} << 17};
+  Op burst{Op::kBurst, 64, 0, Scheduler::kTickPs};
   Op cancel{Op::kCancel, 0, 17, 0};
-  Op drain{Op::kRunUntil, 0, 0, TimePs{1} << 20};
+  Op drain{Op::kRunUntil, 0, 0, Scheduler::kTickPs * 8};
   for (const Op& op : {burst, cancel, burst, cancel, drain}) {
     wheel.apply(op);
     ref.apply(op);
@@ -59,7 +60,7 @@ TEST(SchedulerDifferential, SameInstantBurstKeepsFifoOrder) {
 }
 
 TEST(SchedulerDifferential, OverflowPromotionAcrossHorizon) {
-  constexpr TimePs kHorizonPs = TimePs{1} << (17 + 24);
+  constexpr TimePs kHorizonPs = Scheduler::kHorizonPs;
   Harness<Scheduler> wheel;
   Harness<testref::ReferenceScheduler> ref;
   // Events beyond the horizon, then run_until jumps that promote them
@@ -84,21 +85,22 @@ TEST(SchedulerDifferential, TimerFiringsAcrossWheelLevelsMatch) {
   // wheel level and past the horizon, a cancel that drops all of them,
   // then fresh firings — the pattern a broken fire_at (one that stales
   // earlier firings) or cancel(TimerId) gets wrong.
-  constexpr TimePs kTick = TimePs{1} << 17;
+  constexpr TimePs kTick = Scheduler::kTickPs;
+  constexpr const TimePs* kSpan = Scheduler::kLevelSpanPs;
   Harness<Scheduler> wheel;
   Harness<testref::ReferenceScheduler> ref;
   std::vector<Op> ops{Op{Op::kRegisterTimer, 0, 0, 0},
                       Op{Op::kRegisterTimer, 0, 0, 0}};
-  for (TimePs d : {TimePs{0}, kTick - 1, kTick << 6, kTick << 12,
-                   kTick << 18, kTick << 24})
+  for (TimePs d : {TimePs{0}, kTick - 1, kSpan[0], kSpan[1], kSpan[2],
+                   Scheduler::kHorizonPs})
     ops.push_back(Op{Op::kFireTimer, 2, 0, d});
   ops.push_back(Op{Op::kBurst, 4, 0, 0});
   ops.push_back(Op{Op::kFireTimer, 1, 1, 0});
-  ops.push_back(Op{Op::kRunUntil, 0, 0, kTick << 7});
+  ops.push_back(Op{Op::kRunUntil, 0, 0, kSpan[0] * 2});
   ops.push_back(Op{Op::kCancelTimer, 0, 0, 0});
   ops.push_back(Op{Op::kCancelTimer, 0, 0, 0});
-  ops.push_back(Op{Op::kFireTimer, 3, 0, kTick << 12});
-  ops.push_back(Op{Op::kRunUntil, 0, 0, kTick << 25});
+  ops.push_back(Op{Op::kFireTimer, 3, 0, kSpan[1]});
+  ops.push_back(Op{Op::kRunUntil, 0, 0, Scheduler::kHorizonPs * 2});
   for (const Op& op : ops) {
     wheel.apply(op);
     ref.apply(op);
@@ -109,6 +111,78 @@ TEST(SchedulerDifferential, TimerFiringsAcrossWheelLevelsMatch) {
   EXPECT_EQ(wheel.log(), ref.log());
   EXPECT_EQ(wheel.results(), ref.results());
   EXPECT_EQ(wheel.now(), ref.now());
+}
+
+// Applies `ops` to both engines, then drains them; every observable must
+// match.
+void expect_same(const std::vector<Op>& ops) {
+  Harness<Scheduler> wheel;
+  Harness<testref::ReferenceScheduler> ref;
+  for (const Op& op : ops) {
+    wheel.apply(op);
+    ref.apply(op);
+    ASSERT_EQ(wheel.pending(), ref.pending());
+    ASSERT_EQ(wheel.now(), ref.now());
+  }
+  wheel.drain();
+  ref.drain();
+  EXPECT_EQ(wheel.log(), ref.log());
+  EXPECT_EQ(wheel.results(), ref.results());
+  EXPECT_EQ(wheel.now(), ref.now());
+}
+
+TEST(SchedulerDifferential, Level0SpanEdgesMatch) {
+  // Events one tick either side of the level-0 span: the last one that
+  // links straight into level 0 and the first that waits a cascade.
+  constexpr TimePs kTick = Scheduler::kTickPs;
+  constexpr TimePs kL0 = Scheduler::kLevel0SpanPs;
+  std::vector<Op> ops;
+  for (TimePs d : {kL0 - kTick, kL0 - 1, kL0, kL0 + kTick, kL0 - kTick})
+    ops.push_back(Op{Op::kBurst, 2, 0, d});
+  ops.push_back(Op{Op::kRunUntil, 0, 0, kL0 - kTick});
+  ops.push_back(Op{Op::kBurst, 3, 0, kTick});
+  ops.push_back(Op{Op::kRunUntil, 0, 0, 2 * kTick});
+  expect_same(ops);
+}
+
+TEST(SchedulerDifferential, FrameWrapPastFastPathMatches) {
+  // Park the clock two ticks before a level-0 frame boundary, then queue
+  // events in the frame's last slot, across the boundary (slots below the
+  // cursor's: the next pop wraps the 4,096-slot frame) and one frame on.
+  constexpr TimePs kTick = Scheduler::kTickPs;
+  constexpr TimePs kL0 = Scheduler::kLevel0SpanPs;
+  std::vector<Op> ops{Op{Op::kRunUntil, 0, 0, 3 * kL0 - 2 * kTick}};
+  for (TimePs d : {kTick, 2 * kTick, 3 * kTick, 2 * kTick - 1, kL0 + kTick})
+    ops.push_back(Op{Op::kSchedule, 0, 0, d});
+  ops.push_back(Op{Op::kFrameEdge, 0, 0, -kTick});
+  ops.push_back(Op{Op::kFrameEdge, 0, 0, 0});
+  ops.push_back(Op{Op::kStep, 0, 0, 0});
+  ops.push_back(Op{Op::kStep, 0, 0, 0});
+  ops.push_back(Op{Op::kFrameEdge, 0, 0, kTick});
+  ops.push_back(Op{Op::kRunUntil, 0, 0, 4 * kTick});
+  expect_same(ops);
+}
+
+TEST(SchedulerDifferential, Level0SlotReusedAfterItsBitClears) {
+  // A level-0 slot's head is read only while its occupancy bit is set.
+  // Fill slot 3, drain it (live and cancelled entries), then reuse the
+  // same slot index one frame later, directly and through a cascade.
+  constexpr TimePs kTick = Scheduler::kTickPs;
+  constexpr TimePs kL0 = Scheduler::kLevel0SpanPs;
+  std::vector<Op> ops{
+      Op{Op::kBurst, 3, 0, 3 * kTick},
+      Op{Op::kCancel, 0, 1, 0},
+      Op{Op::kSchedule, 0, 0, 3 * kTick + 7},
+      Op{Op::kRunUntil, 0, 0, 4 * kTick},       // slot 3 drained, bit clear
+      Op{Op::kSchedule, 0, 0, kL0 - kTick},     // slot 3 again, level 0
+      Op{Op::kSchedule, 0, 0, kL0 - kTick + 1},
+      Op{Op::kCancel, 0, 4, 0},
+      Op{Op::kRunUntil, 0, 0, kL0},             // drained again
+      Op{Op::kSchedule, 0, 0, kL0 - kTick},     // slot 3, one frame on
+      Op{Op::kSchedule, 0, 0, 2 * kL0 - kTick},  // slot 3 via level 1
+      Op{Op::kStep, 0, 0, 0},
+  };
+  expect_same(ops);
 }
 
 TEST(SchedulerDifferential, CancelEverythingThenReuseMatches) {

@@ -5,10 +5,10 @@
 // sorted-vector reference model implementing the documented semantics —
 // and the two execution traces must be identical.
 //
-// The script format and reference model are deliberately engine-agnostic:
-// this test was written and passing against the pre-rewrite
-// std::function/unordered_set scheduler and must pass unchanged against
-// any rewritten engine.
+// The script format and reference model are deliberately engine-agnostic
+// (this test was written and passing against the pre-rewrite
+// std::function/unordered_set scheduler); only the boundary delays read
+// the production wheel's published geometry, to aim at its edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -55,22 +55,25 @@ struct ScriptOp {
   std::uint64_t target_pick = 0;  // kCancel/kMove: pick mod issued
 };
 
-// Delays that land on an implementation's likely structural boundaries:
-// power-of-two bucket edges and off-by-ones, coarse-bucket frontiers, and
-// offsets at/beyond a far-future horizon (the current engine's timing
-// wheel covers 2^41 ps; a different engine just sees large delays — the
-// script stays engine-agnostic either way).
+// Delays that land on the engine's structural boundaries, read from its
+// published wheel geometry: tick edges and off-by-ones, the level-0 span
+// +-1 tick, the upper-level frontiers, and offsets at/beyond the horizon.
+// The reference model ignores them — to it they are just delays.
 TimePs boundary_delay(Rng& rng) {
-  constexpr TimePs kTick = TimePs{1} << 17;
-  constexpr TimePs kHorizon = kTick << 24;
-  switch (rng.uniform_int(0, 7)) {
+  constexpr TimePs kTick = Scheduler::kTickPs;
+  constexpr TimePs kL0 = Scheduler::kLevel0SpanPs;
+  constexpr TimePs kHorizon = Scheduler::kHorizonPs;
+  switch (rng.uniform_int(0, 10)) {
     case 0: return kTick - 1;
     case 1: return kTick;
     case 2: return kTick + 1;
-    case 3: return kTick << 6;
-    case 4: return kTick << 12;
-    case 5: return kHorizon - kTick;
-    case 6: return kHorizon;  // first event past the wheel's reach
+    case 3: return kL0 - kTick;
+    case 4: return kL0;
+    case 5: return kL0 + kTick;
+    case 6: return Scheduler::kLevelSpanPs[1];
+    case 7: return Scheduler::kLevelSpanPs[2];
+    case 8: return kHorizon - kTick;
+    case 9: return kHorizon;  // first event past the wheel's reach
     default: return kHorizon * rng.uniform_int(1, 4);  // deep overflow
   }
 }

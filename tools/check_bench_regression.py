@@ -1,11 +1,23 @@
 #!/usr/bin/env python3
 """Compare a fresh microbench JSON run against a recorded baseline run in
-BENCH_microbench.json and fail on events/sec regressions.
+BENCH_microbench.json and fail on events/sec regressions; or, with
+--alloc-budgets, check every benchmark's heap allocations per iteration
+against a budget file instead.
 
 Usage:
   tools/check_bench_regression.py FRESH.json \
       [--baseline-file BENCH_microbench.json] [--baseline-label pooled-engine] \
       [--tolerance 0.05] [--filter REGEX] [--no-normalize] [--report OUT.md]
+  tools/check_bench_regression.py FRESH.json --alloc-budgets BUDGETS.json
+
+Allocation budgets (bench/alloc_budgets.json) do not depend on the machine:
+the microbench counts allocations itself (`allocs_per_iter`). A budget is
+the exact count per iteration of a deterministic single-thread benchmark;
+the file's `post_loop_allowance` covers the few allocations a benchmark
+makes after its timed loop (counters, labels), spread over the run's
+iterations, and a benchmark whose average depends on the iteration count
+states its own `slack` fraction. A benchmark in the run without a budget
+fails the check, so new benchmarks get one.
 
 The recorded baselines were measured on one specific box, while CI runs on
 whatever runner the job lands on, so raw items_per_second ratios mostly
@@ -49,6 +61,46 @@ def load_fresh(path):
     }
 
 
+def check_alloc_budgets(fresh_path, budgets_path):
+    """Exit status of the allocation-budget check (0 ok, 1 over budget)."""
+    with open(budgets_path) as f:
+        doc = json.load(f)
+    allowance = doc["post_loop_allowance"]
+    budgets = doc["benchmarks"]
+    with open(fresh_path) as f:
+        fresh = [
+            b for b in json.load(f).get("benchmarks", [])
+            if b.get("run_type", "iteration") == "iteration"
+            and "allocs_per_iter" in b
+        ]
+    if not fresh:
+        sys.exit("error: no allocs_per_iter counters in the fresh run")
+    failures = []
+    for b in fresh:
+        name = b["name"]
+        measured = b["allocs_per_iter"]
+        budget = budgets.get(name)
+        if budget is None:
+            failures.append(f"{name}: {measured:.2f} allocs/iter, no budget")
+            continue
+        limit = (budget["allocs_per_iter"] * (1.0 + budget.get("slack", 0.0))
+                 + allowance / max(b["iterations"], 1))
+        status = "ok" if measured <= limit else "OVER BUDGET"
+        print(f"{name}: {measured:.3f} allocs/iter, budget "
+              f"{budget['allocs_per_iter']} (limit {limit:.3f}) {status}")
+        if measured > limit:
+            failures.append(f"{name}: {measured:.3f} allocs/iter over the "
+                            f"limit {limit:.3f}")
+    for name in sorted(set(budgets) - {b["name"] for b in fresh}):
+        print(f"{name}: not in this run")
+    for msg in failures:
+        print(f"ALLOC BUDGET: {msg}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"ok: {len(fresh)} benchmark(s) within their allocation budgets")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("fresh", help="google-benchmark --benchmark_out JSON")
@@ -62,7 +114,12 @@ def main():
                     help="compare absolute ratios (same-machine runs only)")
     ap.add_argument("--report", default=None,
                     help="write a markdown delta table here")
+    ap.add_argument("--alloc-budgets", default=None, metavar="BUDGETS.json",
+                    help="check allocs_per_iter against these budgets "
+                         "instead of comparing throughput")
     args = ap.parse_args()
+    if args.alloc_budgets:
+        return check_alloc_budgets(args.fresh, args.alloc_budgets)
 
     baseline = load_baseline(args.baseline_file, args.baseline_label)
     fresh = load_fresh(args.fresh)
