@@ -247,8 +247,7 @@ exp::TrialResult run_flap_trial(const MechSpec& m, std::uint64_t base,
           s.topo.restore_link(li);
         else
           s.topo.fail_link(li);
-        s.routing = topo::compute_shortest_paths(s.topo);
-        s.fabric->install_routing(s.topo, s.routing);
+        s.reroute();
       });
   sched.schedule_flap(link.a, link.b, dur / 4, dur * 3 / 4);
 

@@ -323,13 +323,14 @@ void lint_routing(const Input& in, Report* rep) {
             parent[at(w)] = v;
             stack.push_back({w, 0});
           } else if (color[at(w)] == 1) {
-            std::string cyc = topo.node(w).name;
+            // The tree path w .. v, then the back edge closing on w.
             std::vector<topo::NodeIndex> chain{v};
             for (topo::NodeIndex u = v; u != w; u = parent[at(u)])
               chain.push_back(parent[at(u)]);
+            std::string cyc;
             for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-              cyc += " -> " + topo.node(*it).name;
-            cyc += " -> " + topo.node(w).name;
+              cyc += topo.node(*it).name + " -> ";
+            cyc += topo.node(w).name;
             loop_of[c] = std::move(cyc);
             loop_reported = true;
           }
@@ -467,19 +468,6 @@ Verdict preflight_verdict(PreflightMode mode, const Report& rep) {
   if (mode == PreflightMode::kFail && v == Verdict::kAtRisk)
     throw PreflightError("preflight: " + rep.summary());
   return v;
-}
-
-Verdict preflight(PreflightMode mode, const topo::Topology& topo,
-                  const topo::RoutingTable& routing,
-                  const runner::ScenarioConfig& cfg,
-                  const std::string& scenario) {
-  if (mode == PreflightMode::kOff) return Verdict::kDeadlockFree;
-  Input in;
-  in.topo = &topo;
-  in.routing = &routing;
-  in.cfg = cfg;
-  in.scenario = scenario;
-  return preflight_verdict(mode, analyze(in));
 }
 
 }  // namespace gfc::analyze

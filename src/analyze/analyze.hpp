@@ -220,27 +220,18 @@ struct CbdScreen {
 CbdScreen screen_cbd(const topo::Topology& topo,
                      const topo::RoutingTable& routing);
 
-/// Thrown by preflight() in PreflightMode::kFail when the verdict is
-/// kAtRisk (worker pools capture it as the trial's failure text).
+/// Thrown by preflight_verdict() in PreflightMode::kFail when the verdict
+/// is kAtRisk (worker pools capture it as the trial's failure text).
 class PreflightError : public std::runtime_error {
  public:
   explicit PreflightError(const std::string& what)
       : std::runtime_error(what) {}
 };
 
-/// The verdict-and-side-effect half of preflight(), for callers that
-/// already hold a Report (the incremental analyzer in Fabric): print the
-/// summary to stderr when the verdict isn't clean, throw PreflightError
-/// on kAtRisk under kFail, return the verdict. Prints nothing and never
-/// throws under kOff.
+/// The Fabric::install_routing pre-flight check on a Report (Fabric gets
+/// it from its incremental analyzer): print the summary to stderr when
+/// the verdict isn't clean, throw PreflightError on kAtRisk under kFail,
+/// return the verdict. Prints nothing and never throws under kOff.
 Verdict preflight_verdict(PreflightMode mode, const Report& rep);
-
-/// The Fabric::install_routing hook: analyze, report risks on stderr
-/// (kWarn/kFail), throw PreflightError on kAtRisk under kFail. Returns
-/// the verdict. No-op returning kDeadlockFree under kOff.
-Verdict preflight(PreflightMode mode, const topo::Topology& topo,
-                  const topo::RoutingTable& routing,
-                  const runner::ScenarioConfig& cfg,
-                  const std::string& scenario = {});
 
 }  // namespace gfc::analyze

@@ -1,6 +1,8 @@
 #include "analyze/scenario.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "topo/builders.hpp"
 #include "topo/cbd.hpp"
@@ -22,29 +24,34 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return parts;
 }
 
-bool parse_int(const std::string& s, long* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 bool fail(std::string* err, const std::string& message) {
   if (err != nullptr) *err = message;
   return false;
 }
 
+/// Strict spec integer: the whole of `s`, within [lo, hi]. On failure
+/// sets *err to "`part` must be an integer in [lo, hi], got 's'".
+bool parse_int(const std::string& s, long lo, long hi, const std::string& part,
+               long* out, std::string* err) {
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE || v < lo ||
+      v > hi)
+    return fail(err, part + " must be an integer in [" + std::to_string(lo) +
+                         ", " + std::to_string(hi) + "], got '" + s + "'");
+  *out = v;
+  return true;
+}
+
 bool build_ring_scenario(const std::vector<std::string>& parts,
                          BuiltScenario* out, std::string* err) {
   long n = 3, hops = 2;
-  if (parts.size() > 1 && !parse_int(parts[1], &n))
-    return fail(err, "ring: bad switch count '" + parts[1] + "'");
-  if (parts.size() > 2 && !parse_int(parts[2], &hops))
-    return fail(err, "ring: bad hop count '" + parts[2] + "'");
-  if (n < 3 || hops < 1 || hops >= n)
-    return fail(err, "ring: need N >= 3 and 1 <= H < N");
+  if (parts.size() > 1 &&
+      !parse_int(parts[1], 3, kMaxRingSwitches, "ring: N", &n, err))
+    return false;
+  if (parts.size() > 2 && !parse_int(parts[2], 1, n - 1, "ring: H", &hops, err))
+    return false;
   const topo::RingInfo info =
       topo::build_ring(out->topo, static_cast<int>(n));
   out->routing = topo::ring_clockwise_routes(out->topo, info);
@@ -59,8 +66,12 @@ bool build_ring_scenario(const std::vector<std::string>& parts,
 bool build_fattree_scenario(const std::vector<std::string>& parts,
                             BuiltScenario* out, std::string* err) {
   long k = 0;
-  if (parts.size() < 2 || !parse_int(parts[1], &k) || k < 2 || k % 2 != 0)
-    return fail(err, "fattree: need an even K >= 2, e.g. fattree:4");
+  const std::string k_text = parts.size() > 1 ? parts[1] : "";
+  if (!parse_int(k_text, 2, kMaxFatTreeK, "fattree: K", &k, err) ||
+      k % 2 != 0)
+    return fail(err, "fattree: K must be an even integer in [2, " +
+                         std::to_string(kMaxFatTreeK) + "], got '" + k_text +
+                         "' (e.g. fattree:4)");
   topo::build_fattree(out->topo, static_cast<int>(k));
   out->name = "fattree:" + std::to_string(k);
 
@@ -69,8 +80,9 @@ bool build_fattree_scenario(const std::vector<std::string>& parts,
     const std::string& mod = parts[2];
     if (mod.rfind("seed=", 0) == 0) {
       long seed = 0;
-      if (!parse_int(mod.substr(5), &seed) || seed < 1)
-        return fail(err, "fattree: bad seed '" + mod + "'");
+      if (!parse_int(mod.substr(5), 1, std::numeric_limits<long>::max(),
+                     "fattree: seed", &seed, err))
+        return false;
       // The Table 1 sampling recipe: 5% failures from a k-salted stream.
       sim::Rng rng(static_cast<std::uint64_t>(seed) * 7919 +
                    static_cast<std::uint64_t>(k));
@@ -81,9 +93,9 @@ bool build_fattree_scenario(const std::vector<std::string>& parts,
       const auto sw_links = out->topo.switch_links();
       for (const std::string& tok : split(mod.substr(5), ',')) {
         long idx = 0;
-        if (!parse_int(tok, &idx) || idx < 0 ||
-            idx >= static_cast<long>(sw_links.size()))
-          return fail(err, "fattree: bad switch-link index '" + tok + "'");
+        if (!parse_int(tok, 0, static_cast<long>(sw_links.size()) - 1,
+                       "fattree: switch-link index", &idx, err))
+          return false;
         out->topo.fail_link(sw_links[static_cast<std::size_t>(idx)]);
       }
       stress_seed = 1;
@@ -115,9 +127,9 @@ bool build_fattree_scenario(const std::vector<std::string>& parts,
 bool build_incast_scenario(const std::vector<std::string>& parts,
                            BuiltScenario* out, std::string* err) {
   long n = 2;
-  if (parts.size() > 1 && !parse_int(parts[1], &n))
-    return fail(err, "incast: bad sender count '" + parts[1] + "'");
-  if (n < 1) return fail(err, "incast: need at least one sender");
+  if (parts.size() > 1 &&
+      !parse_int(parts[1], 1, kMaxIncastSenders, "incast: N", &n, err))
+    return false;
   const topo::DumbbellInfo info =
       topo::build_dumbbell(out->topo, static_cast<int>(n));
   out->routing = topo::compute_shortest_paths(out->topo);

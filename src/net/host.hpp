@@ -41,8 +41,6 @@ class HostNode final : public Node {
   void set_mtu(std::int64_t mtu) { mtu_ = mtu; }
   std::int64_t mtu() const { return mtu_; }
 
-  std::size_t active_sender_flows() const { return sending_.size(); }
-
  private:
   struct SenderFlow {
     FlowId id = kInvalidFlow;

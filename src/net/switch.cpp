@@ -269,7 +269,6 @@ void SwitchNode::release_ingress(Packet& pkt) {
 }
 
 void SwitchNode::on_departure(Packet& pkt, int /*out_port*/) {
-  ++forwarded_packets_;
   release_ingress(pkt);
 }
 

@@ -93,8 +93,6 @@ class SwitchNode final : public Node {
   void set_ecn(const EcnConfig& cfg) { ecn_ = cfg; }
   const EcnConfig& ecn() const { return ecn_; }
 
-  std::uint64_t forwarded_packets() const { return forwarded_packets_; }
-
   // --- runtime failures ----------------------------------------------------
   /// Re-route every queued packet whose selected egress link is down (new
   /// ECMP choice among live candidates; FIFO order preserved per queue).
@@ -167,7 +165,6 @@ class SwitchNode final : public Node {
   };
   std::vector<RouteRef> route_ref_;          // indexed by dst NodeId
   std::vector<std::int32_t> route_slots_;    // all candidate out-ports
-  std::uint64_t forwarded_packets_ = 0;
 };
 
 }  // namespace gfc::net

@@ -89,7 +89,7 @@ class Fabric {
   /// Fault-aware incremental re-analysis (see src/analyze/incremental.hpp):
   /// created lazily by the first install_routing that wants a verdict, fed
   /// a fresh report on every reroute. The analyzed topology must outlive
-  /// the fabric (scenario runners keep it on their RunContext).
+  /// the fabric (the scenario structs in runner/scenarios.hpp own it).
   std::unique_ptr<analyze::IncrementalAnalyzer> analyzer_;
   const topo::Topology* analyzed_topo_ = nullptr;
   int reverdicts_ = 0;

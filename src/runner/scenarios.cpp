@@ -10,6 +10,24 @@
 #include "workload/generator.hpp"
 
 namespace gfc::runner {
+namespace {
+
+/// The scenarios' routing policy: the up*/down* CBD-free tables when
+/// cfg.fc.cbd_free_routing is set (filling *stats), shortest-path ECMP
+/// otherwise. The ring pins its clockwise routes instead of the latter.
+topo::RoutingTable scenario_routes(const ScenarioConfig& cfg,
+                                   const topo::Topology& topo,
+                                   mech::RoutingStats* stats) {
+  return cfg.fc.cbd_free_routing ? mech::cbd_free_routes(topo, stats)
+                                 : topo::compute_shortest_paths(topo);
+}
+
+}  // namespace
+
+void FatTreeScenario::reroute() {
+  routing = scenario_routes(fabric->config(), topo, &route_stats);
+  fabric->install_routing(topo, routing);
+}
 
 RingScenario make_ring(const ScenarioConfig& cfg, int n_switches, int hops) {
   assert(hops >= 1 && hops < n_switches);
@@ -39,10 +57,8 @@ IncastScenario make_incast(const ScenarioConfig& cfg, int n_senders,
   IncastScenario s;
   s.info = topo::build_dumbbell(s.topo, n_senders);
   s.fabric = std::make_unique<Fabric>(s.topo, cfg);
-  s.fabric->install_routing(
-      s.topo, cfg.fc.cbd_free_routing
-                  ? mech::cbd_free_routes(s.topo, &s.route_stats)
-                  : topo::compute_shortest_paths(s.topo));
+  s.fabric->install_routing(s.topo,
+                            scenario_routes(cfg, s.topo, &s.route_stats));
   for (topo::NodeIndex h : s.info.senders) {
     s.flows.push_back(
         s.fabric->net().create_flow(h, s.info.receiver, 0, flow_size, 0).id);
@@ -56,9 +72,7 @@ FatTreeScenario make_fattree(const ScenarioConfig& cfg, int k,
   s.info = topo::build_fattree(s.topo, k);
   for (topo::LinkIndex l : failures) s.topo.fail_link(l);
   s.failed_links = failures;
-  s.routing = cfg.fc.cbd_free_routing
-                  ? mech::cbd_free_routes(s.topo, &s.route_stats)
-                  : topo::compute_shortest_paths(s.topo);
+  s.routing = scenario_routes(cfg, s.topo, &s.route_stats);
   s.cbd_prone = topo::cbd_prone(s.topo, s.routing);
   s.fabric = std::make_unique<Fabric>(s.topo, cfg);
   s.fabric->install_routing(s.topo, s.routing);
@@ -71,9 +85,7 @@ FatTreeScenario make_random_fattree(const ScenarioConfig& cfg, int k,
   s.info = topo::build_fattree(s.topo, k);
   sim::Rng rng(topo_seed);
   s.failed_links = topo::random_failures(s.topo, rng, fail_prob);
-  s.routing = cfg.fc.cbd_free_routing
-                  ? mech::cbd_free_routes(s.topo, &s.route_stats)
-                  : topo::compute_shortest_paths(s.topo);
+  s.routing = scenario_routes(cfg, s.topo, &s.route_stats);
   s.cbd_prone = topo::cbd_prone(s.topo, s.routing);
   s.fabric = std::make_unique<Fabric>(s.topo, cfg);
   s.fabric->install_routing(s.topo, s.routing);

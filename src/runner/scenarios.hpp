@@ -56,6 +56,11 @@ struct FatTreeScenario {
   std::unique_ptr<Fabric> fabric;
   /// Filled when cfg.fc.cbd_free_routing replaced the shortest paths.
   mech::RoutingStats route_stats;
+
+  /// The mid-run reroute after a link fails or comes back: recompute
+  /// `routing` for `topo` as it now stands under the fabric's config (the
+  /// policy the scenario was built with) and install it.
+  void reroute();
 };
 FatTreeScenario make_fattree(const ScenarioConfig& cfg, int k,
                              const std::vector<topo::LinkIndex>& failures = {});

@@ -8,49 +8,10 @@
 namespace gfc::sim {
 namespace {
 
-// 4-ary min-heap helpers for the overflow heap. Hole-based sifts: copy
-// entries toward the hole, write the moved entry once.
+// Execution order: time, then the FIFO sequence number.
 template <typename E>
-bool heap_earlier(const E& a, const E& b) {
+bool earlier(const E& a, const E& b) {
   return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-}
-
-template <typename E>
-void heap_push(std::vector<E>& h, E e) {
-  h.push_back(e);
-  std::size_t i = h.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!heap_earlier(e, h[parent])) break;
-    h[i] = h[parent];
-    i = parent;
-  }
-  h[i] = e;
-}
-
-/// Pop the heap minimum. Precondition: heap non-empty.
-template <typename E>
-E heap_pop(std::vector<E>& h) {
-  const E top = h.front();
-  const E last = h.back();
-  h.pop_back();
-  const std::size_t n = h.size();
-  if (n != 0) {
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first_child = (i << 2) + 1;
-      if (first_child >= n) break;
-      std::size_t min_child = first_child;
-      const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
-      for (std::size_t c = first_child + 1; c < end; ++c)
-        if (heap_earlier(h[c], h[min_child])) min_child = c;
-      if (!heap_earlier(h[min_child], last)) break;
-      h[i] = h[min_child];
-      i = min_child;
-    }
-    h[i] = last;
-  }
-  return top;
 }
 
 }  // namespace
@@ -72,7 +33,6 @@ Scheduler::~Scheduler() {
   };
   for (std::size_t i = near_idx_; i < near_.size(); ++i)
     destroy_ref(near_[i].slot, near_[i].gen);
-  for (const HeapEntry& e : overflow_) destroy_ref(e.slot, e.gen);
   for (std::uint32_t w = 0; w < kL0Words; ++w)
     for (std::uint64_t bits = l0_occ_[w]; bits != 0; bits &= bits - 1)
       destroy_list(l0_head_[(w << 6) | std::countr_zero(bits)]);
@@ -149,10 +109,10 @@ void Scheduler::insert_entry(TimePs t, std::uint64_t seq, std::uint32_t slot,
     // the near batch. Only execution-time inserts (events landing in the
     // tick being drained) take this path — advance_once() appends its
     // drains directly and orders them once.
-    const HeapEntry e{t, seq, slot, gen};
+    const NearEntry e{t, seq, slot, gen};
     const auto pos = std::upper_bound(
         near_.begin() + static_cast<std::ptrdiff_t>(near_idx_), near_.end(), e,
-        heap_earlier<HeapEntry>);
+        earlier<NearEntry>);
     near_.insert(pos, e);
     return;
   }
@@ -162,16 +122,14 @@ void Scheduler::insert_entry(TimePs t, std::uint64_t seq, std::uint32_t slot,
     l0_link(static_cast<std::uint32_t>(tick) & kL0Mask, t, seq, slot, gen);
     return;
   }
-  if (delta >= kHorizonTicks) {
-    heap_push(overflow_, HeapEntry{t, seq, slot, gen});
-    return;
-  }
   // Level l >= 1 holds deltas in [2^(6l+6), 2^(6l+12)): 12 bits for level
-  // 0, then one 6-bit group per level.
-  const int level =
-      (std::bit_width(static_cast<std::uint64_t>(delta)) - 1 - kL0Bits) /
-          kLevelBits +
-      1;
+  // 0, then one 6-bit group per level. The top level also takes every
+  // delta past its reach; its slot then comes round again before the
+  // entry is due, and the cascade there links it back into the same slot.
+  const int width =
+      static_cast<int>(std::bit_width(static_cast<std::uint64_t>(delta)));
+  const int level = std::min((width - 1 - kL0Bits) / kLevelBits + 1,
+                             kUpperLevels);
   const std::uint32_t wslot =
       static_cast<std::uint32_t>(tick >> level_shift(level)) & kSlotMask;
   up_link(level, wslot, t, seq, slot, gen);
@@ -203,7 +161,7 @@ inline void Scheduler::l0_drain(std::uint32_t wslot) {
     WheelNode& node = nodes_[n];
     const std::uint32_t next = node.next;
     if (slot_ptr(node.slot)->gen == node.gen)
-      near_.push_back(HeapEntry{node.t, node.seq, node.slot, node.gen});
+      near_.push_back(NearEntry{node.t, node.seq, node.slot, node.gen});
     node.next = node_free_;
     node_free_ = n;
     n = next;
@@ -215,28 +173,24 @@ bool Scheduler::advance_once(Tick limit) {
   // A tick whose entries were all cancelled adds nothing: move on to the
   // next one here rather than in the caller.
   do {
-    // Fast path, the packet engine's common case: with nothing in
-    // overflow, an occupied level-0 slot later in the cursor's 4,096-slot
-    // frame (no wrap) is the earliest work anywhere, because an
-    // upper-level slot can only cascade at a later frame boundary. No
-    // per-level scan, no cascade.
-    std::uint32_t l0_slot = kL0Slots;
-    if (overflow_.empty()) {
-      const std::uint32_t pos = static_cast<std::uint32_t>(cur_tick_) & kL0Mask;
-      l0_slot = l0_next(pos + 1);
-      if (l0_slot < kL0Slots) {
-        const Tick target = cur_tick_ + (l0_slot - pos);
-        if (target > limit) return false;
-        cur_tick_ = target;
-      }
+    // Fast path, the packet engine's common case: an occupied level-0
+    // slot later in the cursor's 4,096-slot frame (no wrap) is the
+    // earliest work anywhere, because an upper-level slot can only cascade
+    // at a later frame boundary. No per-level scan, no cascade.
+    const std::uint32_t pos = static_cast<std::uint32_t>(cur_tick_) & kL0Mask;
+    std::uint32_t l0_slot = l0_next(pos + 1);
+    if (l0_slot < kL0Slots) {
+      const Tick target = cur_tick_ + (l0_slot - pos);
+      if (target > limit) return false;
+      cur_tick_ = target;
     }
     if (l0_slot == kL0Slots && !advance_slow(limit, &l0_slot)) return false;
     if (l0_slot < kL0Slots) l0_drain(l0_slot);
   } while (near_.size() == base);
   if (near_.size() - base > 1)
     std::sort(near_.begin() + static_cast<std::ptrdiff_t>(base), near_.end(),
-              [](const HeapEntry& a, const HeapEntry& b) {
-                return heap_earlier(a, b);
+              [](const NearEntry& a, const NearEntry& b) {
+                return earlier(a, b);
               });
   return true;
 }
@@ -249,14 +203,14 @@ bool Scheduler::advance_slow(Tick limit, std::uint32_t* l0_slot) {
   // after cur_tick_, so rotating the occupancy word right by pos+1 makes
   // countr_zero() yield distance-1, distances 1..64 (a slot equal to the
   // cursor position means a full level cycle ahead).
-  Tick best = -1;
+  Tick target = -1;
   Tick l0_start = -1;
   std::uint32_t l0_next_slot = 0;
   if (l0_summary_ != 0) {
     l0_next_slot = l0_next(pos + 1);
     if (l0_next_slot == kL0Slots) l0_next_slot = l0_next(0);
     l0_start = cur_tick_ + (((l0_next_slot - pos - 1) & kL0Mask) + 1);
-    best = l0_start;
+    target = l0_start;
   }
   Tick up_start[kUpperLevels];
   std::uint32_t up_slot[kUpperLevels];
@@ -270,26 +224,16 @@ bool Scheduler::advance_slow(Tick limit, std::uint32_t* l0_slot) {
     const int d = std::countr_zero(rotated) + 1;  // 1..64
     up_start[u] = ((cur_tick_ >> shift) + d) << shift;
     up_slot[u] = (p + static_cast<std::uint32_t>(d)) & kSlotMask;
-    if (best < 0 || up_start[u] < best) best = up_start[u];
+    if (target < 0 || up_start[u] < target) target = up_start[u];
   }
-
-  // Overflow candidate: the heap minimum (discard stale tops on the way —
-  // their callbacks were destroyed at cancel time).
-  while (!overflow_.empty() &&
-         slot_ptr(overflow_.front().slot)->gen != overflow_.front().gen)
-    heap_pop(overflow_);
-  const Tick otick =
-      overflow_.empty() ? Tick{-1} : tick_of(overflow_.front().t);
-
-  Tick target = best;
-  if (otick >= 0 && (target < 0 || otick < target)) target = otick;
   if (target < 0 || target > limit) return false;
   cur_tick_ = target;
 
   // Cascade every upper-level slot whose frame starts here, highest level
   // first, so entries land in their final lower-level homes (or the near
-  // batch for the target tick itself). Stale nodes are dropped and
-  // recycled on the way.
+  // batch for the target tick itself); a top-level entry due a later
+  // revolution goes back into the slot it came from. Stale nodes are
+  // dropped and recycled on the way.
   for (int u = kUpperLevels - 1; u >= 0; --u) {
     if (up_start[u] != target) continue;
     std::uint32_t n = up_head_[u][up_slot[u]];
@@ -300,23 +244,12 @@ bool Scheduler::advance_slow(Tick limit, std::uint32_t* l0_slot) {
       node_free_ = n;
       if (slot_ptr(node.slot)->gen == node.gen) {
         if (tick_of(node.t) == target)
-          near_.push_back(HeapEntry{node.t, node.seq, node.slot, node.gen});
+          near_.push_back(NearEntry{node.t, node.seq, node.slot, node.gen});
         else
           insert_entry(node.t, node.seq, node.slot, node.gen);
       }
       n = node.next;
     }
-  }
-  // Overflow entries due at the target tick.
-  while (!overflow_.empty()) {
-    const HeapEntry top = overflow_.front();
-    if (slot_ptr(top.slot)->gen != top.gen) {
-      heap_pop(overflow_);
-      continue;
-    }
-    if (tick_of(top.t) != target) break;
-    heap_pop(overflow_);
-    near_.push_back(top);
   }
   *l0_slot = l0_start == target ? l0_next_slot : kL0Slots;
   return true;
@@ -330,14 +263,14 @@ bool Scheduler::refill_near() {
   return true;
 }
 
-bool Scheduler::peek_live(HeapEntry* out) {
+bool Scheduler::peek_live(NearEntry* out) {
   for (;;) {
     if (near_idx_ >= near_.size()) {
       if (!refill_near()) return false;
       *out = near_[0];  // a refill takes live entries only
       return true;
     }
-    const HeapEntry& top = near_[near_idx_];
+    const NearEntry& top = near_[near_idx_];
     if (slot_ptr(top.slot)->gen == top.gen) {
       *out = top;
       return true;
@@ -346,7 +279,7 @@ bool Scheduler::peek_live(HeapEntry* out) {
   }
 }
 
-void Scheduler::execute(const HeapEntry& e) {
+void Scheduler::execute(const NearEntry& e) {
   Slot& s = *slot_ptr(e.slot);
   ++executed_;
   --live_;
@@ -376,7 +309,7 @@ bool Scheduler::cancel(EventId id) {
   if (s.gen != static_cast<std::uint32_t>(id.value >> 32)) return false;
   // Still pending: destroy the callback and retire the slot now. The queue
   // entry stays behind; its stale generation tag gets it skipped when its
-  // wheel slot or heap position is next visited.
+  // wheel slot or near-batch position is next visited.
   if (s.destroy != nullptr) s.destroy(s.storage);
   release_slot(idx, s);
   --live_;
@@ -404,7 +337,7 @@ bool Scheduler::cancel(TimerId timer) {
 }
 
 bool Scheduler::step() {
-  HeapEntry e;
+  NearEntry e;
   if (!peek_live(&e)) return false;
   ++near_idx_;
   now_ = e.t;
@@ -414,7 +347,7 @@ bool Scheduler::step() {
 
 void Scheduler::run_until(TimePs t_end) {
   stop_requested_ = false;
-  HeapEntry e;
+  NearEntry e;
   while (!stop_requested_ && peek_live(&e)) {
     if (e.t > t_end) break;
     ++near_idx_;
@@ -425,7 +358,7 @@ void Scheduler::run_until(TimePs t_end) {
     now_ = t_end;
     // Keep the wheel cursor in step with the clock after an idle jump so
     // short-horizon scheduling stays O(1). Pure performance: correctness
-    // never depends on the cursor tracking now() (the near heap orders
+    // never depends on the cursor tracking now() (the near batch orders
     // whatever the sweep dumps; live entries swept here are the
     // same-tick-as-t_end ones with t > t_end).
     const Tick t_tick = tick_of(now_);
@@ -439,7 +372,7 @@ void Scheduler::run_until(TimePs t_end) {
 
 void Scheduler::run_all() {
   stop_requested_ = false;
-  HeapEntry e;
+  NearEntry e;
   while (!stop_requested_ && peek_live(&e)) {
     ++near_idx_;
     now_ = e.t;

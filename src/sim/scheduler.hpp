@@ -18,17 +18,20 @@
 //  - The ready queue is a hierarchical timing wheel. Level 0 is 4,096
 //    slots of one 2.048 ns tick (2^11 ps), 8.4 us in all, with a 64-word
 //    occupancy bitmap and one summary word over it; three 64-slot levels
-//    above it step by 2^12, 2^18 and 2^24 ticks, out to a 2^41 ps
-//    (~2.2 s) horizon; an overflow 4-ary min-heap holds anything later.
+//    above it step by 2^12, 2^18 and 2^24 ticks. The top level turns once
+//    per 2^41 ps (~2.2 s) and wraps, as a hashed timing wheel does: an
+//    event further ahead waits in its top-level slot, and each time that
+//    slot's turn comes round before the event is due, the cascade links
+//    it back into the same slot (one re-link per revolution).
 //    Transmit completions, wire arrivals and control deliveries are at
 //    most 1.2 us ahead, so they link straight into a level-0 slot: in
 //    fat-tree trials 99.6-99.99% of events land in level 0, cascades move
 //    0.001-0.15% of them, and a drained slot holds ~2 events at k=8 and
 //    ~7 at k=16 (DESIGN.md 5b). Draining a tick moves its slot into
 //    a "near" batch of 24-byte POD entries, sorted by (time, seq) and
-//    consumed by index. The common pop — nothing in overflow and the next
-//    occupied level-0 slot inside the current 4,096-slot frame — is two
-//    bit scans and a list walk. schedule, fire_at and cancel are O(1).
+//    consumed by index. The common pop — the next occupied level-0 slot
+//    inside the current 4,096-slot frame — is two bit scans and a list
+//    walk. schedule, fire_at and cancel are O(1).
 //    Events landing in the tick being drained splice into the sorted
 //    unconsumed tail (binary search + vector insert).
 //  - Exact ordering is preserved: wheel slots only partition events by
@@ -40,8 +43,8 @@
 //  - Both cancels and the pop-side liveness check compare the entry's
 //    generation tag against the slot's — O(1), no hashing. cancel(TimerId)
 //    bumps the timer's generation, which stales all its queued firings at
-//    once. A cancelled entry stays behind in the wheel/heap and is
-//    discarded when its position is next visited.
+//    once. A cancelled entry stays behind in the wheel or the near batch
+//    and is discarded when its position is next visited.
 //
 // Observable semantics are pinned by tests/sim_test.cpp (SchedulerPinned,
 // SchedulerTimer), tests/sim_property_test.cpp (random scripts vs a
@@ -206,8 +209,9 @@ class Scheduler {
   static constexpr TimePs kLevelSpanPs[kLevels] = {
       kTickPs << 12, kTickPs << 18, kTickPs << 24, kTickPs << 30};
   static constexpr TimePs kLevel0SpanPs = kLevelSpanPs[0];
-  /// Wheel horizon, 2^41 ps (~2.2 s): later events wait in the overflow
-  /// heap until the cursor reaches their tick.
+  /// One revolution of the top level, 2^41 ps (~2.2 s). An event further
+  /// ahead waits in its top-level slot and is linked back into it once per
+  /// revolution until it is due.
   static constexpr TimePs kHorizonPs = kLevelSpanPs[kLevels - 1];
 
  private:
@@ -229,9 +233,6 @@ class Scheduler {
   static constexpr std::uint32_t kSlotsPerLevel = 1u << kLevelBits;  // 64
   static constexpr std::uint32_t kSlotMask = kSlotsPerLevel - 1;
   static constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
-  /// Wheel horizon in ticks: 2^(12 + 3 * 6).
-  static constexpr std::int64_t kHorizonTicks =
-      std::int64_t{1} << (kL0Bits + kLevelBits * kUpperLevels);
   /// Tick shift of an upper level's slot width (level 1..3: 12, 18, 24).
   static constexpr int level_shift(int level) {
     return kL0Bits + kLevelBits * (level - 1);
@@ -240,7 +241,7 @@ class Scheduler {
   static_assert(kLevel0SpanPs == kTickPs << kL0Bits);
   static_assert(kLevelSpanPs[1] == kLevel0SpanPs << kLevelBits);
   static_assert(kLevelSpanPs[2] == kLevelSpanPs[1] << kLevelBits);
-  static_assert(kHorizonPs == kHorizonTicks << kTickShift);
+  static_assert(kHorizonPs == kLevelSpanPs[2] << kLevelBits);
 
   using Tick = std::int64_t;
   static Tick tick_of(TimePs t) { return t >> kTickShift; }
@@ -262,10 +263,9 @@ class Scheduler {
     std::uint32_t pending = 0;
   };
 
-  /// POD ready-queue entry; `seq` is the global FIFO tiebreaker. Used by
-  /// both the near batch (events at or below the cursor tick) and the
-  /// overflow heap (events beyond the wheel horizon).
-  struct HeapEntry {
+  /// POD near-batch entry (an event at or below the cursor tick); `seq` is
+  /// the global FIFO tiebreaker.
+  struct NearEntry {
     TimePs t;
     std::uint64_t seq;
     std::uint32_t slot;
@@ -295,8 +295,8 @@ class Scheduler {
     insert_entry(t, next_seq_++, slot, gen);
   }
 
-  /// Route a pending entry to the near batch (tick <= cursor), a wheel slot
-  /// (within the horizon) or the overflow heap.
+  /// Route a pending entry to the near batch (tick <= cursor) or a wheel
+  /// slot.
   void insert_entry(TimePs t, std::uint64_t seq, std::uint32_t slot,
                     std::uint32_t gen);
   /// Take a node from the pool and fill it.
@@ -311,22 +311,20 @@ class Scheduler {
   /// Empty level-0 slot `wslot` into the near batch (live entries only).
   void l0_drain(std::uint32_t wslot);
 
-  /// Advance the cursor to the earliest occupied wheel/overflow position,
-  /// if its tick is <= `limit`: cascade upper-level slots starting there,
-  /// drain its level-0 slot and matching overflow entries into the near
-  /// batch and sort them. A tick that yields no live entry is passed over
+  /// Advance the cursor to the earliest occupied wheel position, if its
+  /// tick is <= `limit`: cascade upper-level slots starting there, drain
+  /// its level-0 slot into the near batch and sort the batch. A tick that yields no live entry is passed over
   /// for the next one. Returns false when no live entry is pending at or
   /// below `limit`.
   bool advance_once(Tick limit);
-  /// advance_once's full candidate scan (a frame wrap, a cascade or a
-  /// pending overflow entry): move the cursor, cascade the upper-level
-  /// slots and promote the overflow entries due there into the near batch,
-  /// and name the level-0 slot due at the new cursor tick in `*l0_slot`
-  /// (kL0Slots if none). False, cursor untouched, when nothing is due by
+  /// advance_once's full candidate scan (a frame wrap or a cascade): move
+  /// the cursor, cascade the upper-level slots starting there, and name the
+  /// level-0 slot due at the new cursor tick in `*l0_slot` (kL0Slots if
+  /// none). False, cursor untouched, when nothing is due by
   /// `limit`.
   bool advance_slow(Tick limit, std::uint32_t* l0_slot);
 
-  /// Reset and refill the near batch from the wheel/overflow; every entry
+  /// Reset and refill the near batch from the wheel; every entry
   /// it takes is live. False when empty. Only legal once the previous
   /// batch is fully consumed.
   bool refill_near();
@@ -334,25 +332,24 @@ class Scheduler {
   /// Earliest still-live pending entry without consuming it (stale entries
   /// at the consume index are skipped on the way). False when nothing is
   /// pending.
-  bool peek_live(HeapEntry* out);
+  bool peek_live(NearEntry* out);
 
   /// Run the live event in `e`'s slot (generation already verified).
-  void execute(const HeapEntry& e);
+  void execute(const NearEntry& e);
 
   // Slab of stable-address slot chunks plus an intrusive free list.
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNoFreeSlot;
   std::uint32_t slots_used_ = 0;  // high-water mark of allocated slots
 
-  // Timing wheel + near batch + overflow heap (see geometry above).
+  // Timing wheel + near batch (see geometry above).
   std::uint64_t l0_summary_ = 0;           // bit w: l0_occ_[w] != 0
   std::uint64_t up_occ_[kUpperLevels] = {};  // levels 1..3 occupancy
   Tick cur_tick_ = 0;                      // wheel cursor
   std::vector<WheelNode> nodes_;           // wheel node pool
   std::uint32_t node_free_ = kNoNode;
-  std::vector<HeapEntry> near_;      // sorted batch, (t, seq) order
-  std::size_t near_idx_ = 0;         // consume cursor into near_
-  std::vector<HeapEntry> overflow_;  // 4-ary min-heap, (t, seq) order
+  std::vector<NearEntry> near_;  // sorted batch, (t, seq) order
+  std::size_t near_idx_ = 0;     // consume cursor into near_
 
   std::uint64_t next_seq_ = 0;
 

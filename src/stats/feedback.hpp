@@ -18,7 +18,6 @@ class FeedbackBandwidthMonitor {
   /// Per-port per-window occupied-bandwidth fractions (0..1).
   const CdfBuilder& samples() const { return cdf_; }
   double mean_fraction() const { return cdf_.mean(); }
-  double p99_fraction() const { return cdf_.quantile(0.99); }
   double max_fraction() const { return cdf_.max(); }
 
  private:

@@ -8,7 +8,7 @@
 namespace gfc::topo {
 
 /// Figure 1 / Sec 6.1: N switches in a directed ring, one host per switch.
-/// Deadlock requires the clockwise routing installed by ring_routes().
+/// Deadlock requires the clockwise routing of ring_clockwise_routes().
 struct RingInfo {
   std::vector<NodeIndex> hosts;     // H_i attached to S_i
   std::vector<NodeIndex> switches;  // S_0 .. S_{n-1}
@@ -31,17 +31,13 @@ struct FatTreeInfo {
 };
 FatTreeInfo build_fattree(Topology& topo, int k);
 
-/// Sec 7 / Figure 20: n senders and one receiver on a single switch.
+/// Sec 7 / Figures 5 and 20: n senders and one receiver on a single
+/// switch (Figure 5 is the 2-to-1 case).
 struct DumbbellInfo {
   std::vector<NodeIndex> senders;
   NodeIndex receiver = -1;
   NodeIndex sw = -1;
 };
 DumbbellInfo build_dumbbell(Topology& topo, int n_senders);
-
-/// Figure 5: two senders, one switch, one receiver (special dumbbell).
-inline DumbbellInfo build_two_to_one(Topology& topo) {
-  return build_dumbbell(topo, 2);
-}
 
 }  // namespace gfc::topo

@@ -64,7 +64,7 @@ class BufferDependencyGraph {
   /// deterministic function of the added paths/closure) reports the first
   /// back edge it meets, and the witness is rotated so its smallest
   /// DirectedLink comes first. Exhaustive enumeration with per-cycle
-  /// metadata lives in analyze::enumerate_cbd (src/analyze/).
+  /// metadata lives in analyze::analyze (src/analyze/).
   CbdResult find_cycle() const;
 
   std::size_t vertex_count() const { return vertices_.size(); }

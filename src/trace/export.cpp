@@ -197,16 +197,6 @@ bool parse_csv(std::istream& is, std::vector<TraceEvent>* out,
   return true;
 }
 
-bool parse_csv_file(const std::string& path, std::vector<TraceEvent>* out,
-                    std::string* error) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    if (error) *error = "cannot open " + path;
-    return false;
-  }
-  return parse_csv(is, out, error);
-}
-
 void write_flight_dump(std::ostream& os, const TraceBuffer& ring,
                        const NodeNameFn& node_name, const std::string& reason) {
   os << "# gfc-flight-v1\n";

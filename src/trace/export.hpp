@@ -40,8 +40,6 @@ bool export_csv(const std::string& path, const TraceBuffer& buf,
 /// malformed line; used by the round-trip tests and offline analysis.
 bool parse_csv(std::istream& is, std::vector<TraceEvent>* out,
                std::string* error = nullptr);
-bool parse_csv_file(const std::string& path, std::vector<TraceEvent>* out,
-                    std::string* error = nullptr);
 
 // --- Flight-recorder dump ---------------------------------------------------
 /// Human-readable post-mortem of the ring's flight_window: one line per

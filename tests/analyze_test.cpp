@@ -87,6 +87,18 @@ TEST(AnalyzeGolden, RoutingLoopPfc) {
             read_file(GFC_TEST_DATA_DIR "/golden/loop2_pfc.json"));
 }
 
+TEST(AnalyzeLint, RoutingLoopNamesEachSwitchOnce) {
+  // loop2's table toward H1 bounces S0 -> S1 -> S0: the lint names each
+  // switch of the loop once and closes on the first.
+  const Report r =
+      analyze_spec("loop2", cli_config(runner::FcKind::kPfc, 300'000));
+  std::vector<std::string> loops;
+  for (const LintFinding& lint : r.lints)
+    if (lint.kind == "routing_loop") loops.push_back(lint.message);
+  ASSERT_EQ(loops.size(), 1u);
+  EXPECT_EQ(loops[0], "routing toward H1 loops: S0 -> S1 -> S0");
+}
+
 // Regenerate with:
 //   build/tools/gfc-analyze ring:3:2 --fc pfc --buffer 1000000 --failures 1
 //     --suggest-repairs --json tests/golden/ring3_pfc_failures.json

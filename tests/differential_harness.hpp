@@ -56,8 +56,9 @@ struct Op {
 // taken from the engine's own geometry so they follow it: tick 0 (near
 // batch), one-tick edges and off-by-ones, anywhere in level 0, the
 // level-0 span +-1 tick (the first cascade), each upper level's frontier
-// and slot multiples, the last in-wheel tick, the first overflow tick and
-// deep overflow, plus generic near-term noise.
+// and slot multiples, the last tick of the top level's first revolution,
+// one revolution ahead and up to eight (entries the top level re-links
+// into their slot once per revolution), plus generic near-term noise.
 inline TimePs adversarial_delta(std::mt19937_64& rng) {
   constexpr TimePs kTick = Scheduler::kTickPs;
   constexpr TimePs kL0 = Scheduler::kLevel0SpanPs;
@@ -82,10 +83,10 @@ inline TimePs adversarial_delta(std::mt19937_64& rng) {
     case 11: return kL1 * (1 + pick(63));
     case 12: return kL2;                       // level-3 frontier
     case 13: return kL2 * (1 + pick(63));
-    case 14: return kHorizon - kTick;          // last in-wheel tick
-    case 15: return kHorizon;                  // first overflow tick
+    case 14: return kHorizon - kTick;          // last tick of this revolution
+    case 15: return kHorizon;                  // one revolution ahead
     case 16: return kHorizon + pick(1u << 20);
-    case 17: return kHorizon * (1 + pick(7));  // deep overflow
+    case 17: return kHorizon * (1 + pick(7));  // up to 8 revolutions ahead
     default: return pick(200000);              // generic near
   }
 }

@@ -563,8 +563,7 @@ TEST(IncrementalRunner, ReinstallReverdictsAndMatchesFromScratch) {
 
   const auto links = s.topo.switch_links();
   s.topo.fail_link(links[links.size() / 2]);
-  s.routing = topo::compute_shortest_paths(s.topo);
-  s.fabric->install_routing(s.topo, s.routing);
+  s.reroute();
   EXPECT_EQ(s.fabric->analysis_reverdicts(), 2);
 
   Input in;

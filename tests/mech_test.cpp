@@ -4,6 +4,8 @@
 // up*/down* routing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mech/cbd_routing.hpp"
 #include "mech/dcfit.hpp"
 #include "mech/registry.hpp"
@@ -230,6 +232,40 @@ TEST(CbdFreeRoutes, PristineFatTreeKeepsShortestPaths) {
   EXPECT_TRUE(stats.cbd_free);
   EXPECT_EQ(stats.unroutable_pairs, 0u);
   EXPECT_DOUBLE_EQ(stats.max_stretch, 1.0);
+}
+
+TEST(CbdFreeRoutes, FatTreeRerouteKeepsTheUpDownPolicy) {
+  // A mid-run reroute keeps the routing policy the scenario was built
+  // with: flap a core link of an up*/down* fat-tree through reroute() and
+  // compare every next-hop set with cbd_free_routes of the topology as it
+  // then stands.
+  const MechSpec* spec = find_mechanism("CBD-routing");
+  ASSERT_NE(spec, nullptr);
+  runner::FatTreeScenario s = runner::make_fattree(config_for(*spec), 4);
+  ASSERT_TRUE(s.fabric->config().fc.cbd_free_routing);
+  const topo::LinkIndex core_link =
+      s.topo.neighbors(s.info.cores[0]).front().second;
+  const auto expect_up_down = [&s](const char* when) {
+    SCOPED_TRACE(when);
+    const topo::RoutingTable want = cbd_free_routes(s.topo);
+    int mismatches = 0;
+    const auto n = static_cast<topo::NodeIndex>(s.topo.node_count());
+    for (topo::NodeIndex at = 0; at < n; ++at)
+      for (const topo::NodeIndex dst : s.topo.hosts()) {
+        const auto got = s.routing.next_hops(at, dst);
+        const auto exp = want.next_hops(at, dst);
+        if (!std::equal(got.begin(), got.end(), exp.begin(), exp.end()))
+          ++mismatches;
+      }
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_TRUE(s.route_stats.cbd_free);
+  };
+  s.topo.fail_link(core_link);
+  s.reroute();
+  expect_up_down("core link down");
+  s.topo.restore_link(core_link);
+  s.reroute();
+  expect_up_down("core link restored");
 }
 
 TEST(CbdRoutingRing, PfcOnRestrictedRoutesNeverDeadlocks) {

@@ -12,8 +12,9 @@
 // step result. The script generator lands timestamps on the wheel's
 // structural boundaries, read from Scheduler's published geometry: tick
 // 0, exact tick edges, the level-0 span +-1 tick, level-promotion
-// frontiers, level-0 frame wraps, the horizon (overflow heap), and far
-// run_until jumps that force multi-level cascades.
+// frontiers, level-0 frame wraps, entries one or more top-level
+// revolutions ahead (the top level wraps), and far run_until jumps that
+// force multi-level cascades.
 //
 // tests/scheduler_fuzz.cpp runs the same harness over open-ended seed
 // sweeps; this file pins fixed seeds so CI failures reproduce directly.
@@ -59,30 +60,9 @@ TEST(SchedulerDifferential, SameInstantBurstKeepsFifoOrder) {
   EXPECT_EQ(wheel.results(), ref.results());
 }
 
-TEST(SchedulerDifferential, OverflowPromotionAcrossHorizon) {
-  constexpr TimePs kHorizonPs = Scheduler::kHorizonPs;
-  Harness<Scheduler> wheel;
-  Harness<testref::ReferenceScheduler> ref;
-  // Events beyond the horizon, then run_until jumps that promote them
-  // into the wheel and eventually fire them.
-  std::vector<Op> ops;
-  for (int i = 0; i < 32; ++i)
-    ops.push_back(Op{Op::kSchedule, 0, 0,
-                     kHorizonPs + static_cast<TimePs>(i) * (TimePs{1} << 19)});
-  for (int i = 0; i < 8; ++i)
-    ops.push_back(Op{Op::kRunUntil, 0, 0, kHorizonPs / 4});
-  for (const Op& op : ops) {
-    wheel.apply(op);
-    ref.apply(op);
-  }
-  EXPECT_EQ(wheel.log(), ref.log());
-  EXPECT_EQ(wheel.now(), ref.now());
-  EXPECT_EQ(wheel.pending(), ref.pending());
-}
-
 TEST(SchedulerDifferential, TimerFiringsAcrossWheelLevelsMatch) {
   // One timer with firings pending at once in the near batch, at every
-  // wheel level and past the horizon, a cancel that drops all of them,
+  // wheel level and a revolution ahead, a cancel that drops all of them,
   // then fresh firings — the pattern a broken fire_at (one that stales
   // earlier firings) or cancel(TimerId) gets wrong.
   constexpr TimePs kTick = Scheduler::kTickPs;
@@ -129,6 +109,41 @@ void expect_same(const std::vector<Op>& ops) {
   EXPECT_EQ(wheel.log(), ref.log());
   EXPECT_EQ(wheel.results(), ref.results());
   EXPECT_EQ(wheel.now(), ref.now());
+}
+
+TEST(SchedulerDifferential, TopLevelWrapsPastTheHorizon) {
+  // kHorizonPs is one revolution of the top level; an entry further ahead
+  // waits in its top-level slot and is linked back into it each time the
+  // slot comes round early. Slot 5 holds entries due this revolution and
+  // 1-4 revolutions on (two at one instant), far cancels before and after
+  // their re-link, and timer firings 1 and 3 revolutions ahead; run_until
+  // jumps and steps then cross revolutions.
+  constexpr TimePs kTick = Scheduler::kTickPs;
+  constexpr TimePs kRev = Scheduler::kHorizonPs;
+  constexpr TimePs kSlot = Scheduler::kLevelSpanPs[2];  // top-level slot
+  constexpr TimePs kAt = 5 * kSlot;
+  std::vector<Op> ops{Op{Op::kSchedule, 0, 0, kAt + 7}};  // id 0: this turn
+  for (TimePs k = 1; k <= 4; ++k)  // ids 1-4: k revolutions on
+    ops.push_back(Op{Op::kSchedule, 0, 0, kAt + k * kRev + k * kTick});
+  ops.push_back(Op{Op::kBurst, 2, 0, kAt + kRev + kTick});  // ids 5-6
+  ops.push_back(Op{Op::kSchedule, 0, 0, kAt + kSlot - 1});  // id 7
+  ops.push_back(Op{Op::kCancel, 0, 3, 0});  // before its first re-link
+  ops.push_back(Op{Op::kRegisterTimer, 0, 0, 0});
+  ops.push_back(Op{Op::kFireTimer, 1, 0, kAt + kRev + 11});
+  ops.push_back(Op{Op::kFireTimer, 1, 0, kAt + 3 * kRev + 13});
+  ops.push_back(Op{Op::kRunUntil, 0, 0, kAt + 100});  // slot 5 cascades
+  ops.push_back(Op{Op::kCancel, 0, 2, 0});  // after its first re-link
+  // From inside slot 5: one revolution on lands in the cursor's own slot
+  // (a full turn ahead), two and a bit beyond it.
+  ops.push_back(Op{Op::kSchedule, 0, 0, kRev});
+  ops.push_back(Op{Op::kSchedule, 0, 0, 2 * kRev + kTick});
+  ops.push_back(Op{Op::kRunUntil, 0, 0, kRev});  // across one revolution
+  ops.push_back(Op{Op::kStep, 0, 0, 0});         // through several
+  ops.push_back(Op{Op::kStep, 0, 0, 0});
+  ops.push_back(Op{Op::kRunUntil, 0, 0, 3 * kRev + kSlot / 2});
+  ops.push_back(Op{Op::kSchedule, 0, 0, kSlot});
+  ops.push_back(Op{Op::kStep, 0, 0, 0});
+  expect_same(ops);
 }
 
 TEST(SchedulerDifferential, Level0SpanEdgesMatch) {
@@ -187,9 +202,9 @@ TEST(SchedulerDifferential, Level0SlotReusedAfterItsBitClears) {
 
 TEST(SchedulerDifferential, CancelEverythingThenReuseMatches) {
   // Drive, cancel every event and timer mid-flight with entries pending at
-  // every level and in overflow, then replay a fresh script on the same
-  // engines — recycled slots and the stale entries left behind must not
-  // change order, results or counts.
+  // every level and revolutions ahead, then replay a fresh script on the
+  // same engines — recycled slots and the stale entries left behind must
+  // not change order, results or counts.
   for (std::uint64_t seed : {101ull, 202ull}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Harness<Scheduler> wheel;

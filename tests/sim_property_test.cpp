@@ -57,7 +57,8 @@ struct ScriptOp {
 
 // Delays that land on the engine's structural boundaries, read from its
 // published wheel geometry: tick edges and off-by-ones, the level-0 span
-// +-1 tick, the upper-level frontiers, and offsets at/beyond the horizon.
+// +-1 tick, the upper-level frontiers, and offsets one or more top-level
+// revolutions ahead (entries the top level wraps past).
 // The reference model ignores them — to it they are just delays.
 TimePs boundary_delay(Rng& rng) {
   constexpr TimePs kTick = Scheduler::kTickPs;
@@ -73,8 +74,8 @@ TimePs boundary_delay(Rng& rng) {
     case 6: return Scheduler::kLevelSpanPs[1];
     case 7: return Scheduler::kLevelSpanPs[2];
     case 8: return kHorizon - kTick;
-    case 9: return kHorizon;  // first event past the wheel's reach
-    default: return kHorizon * rng.uniform_int(1, 4);  // deep overflow
+    case 9: return kHorizon;  // one revolution ahead: the top level wraps
+    default: return kHorizon * rng.uniform_int(1, 4);  // several revolutions
   }
 }
 
@@ -129,7 +130,7 @@ std::vector<ScriptOp> make_script(Rng& rng, int n_ops) {
       s.op = Op::kSchedule;
       // Cluster timestamps: a small delay range forces same-timestamp
       // collisions, which is where FIFO tie-breaking lives. A slice of
-      // boundary delays lands events on bucket edges and past the horizon.
+      // boundary delays lands events on bucket edges and revolutions ahead.
       s.delay = rng.uniform_int(0, 9) == 0 ? boundary_delay(rng)
                                            : rng.uniform_int(0, 9) * 100;
       const auto a = rng.uniform_int(0, 9);

@@ -385,7 +385,7 @@ TEST(SchedulerTimer, CancelDropsEveryPendingFiring) {
   const TimerId t = sched.register_timer([&fired] { ++fired; });
   sched.fire_at(t, us(1));
   sched.fire_at(t, us(5));
-  sched.fire_at(t, ms(5000));  // past the wheel horizon
+  sched.fire_at(t, ms(5000));  // past two top-level revolutions
   EXPECT_EQ(sched.pending_events(), 3u);
   EXPECT_TRUE(sched.cancel(t));
   EXPECT_FALSE(sched.cancel(t));  // nothing left to drop

@@ -8,7 +8,7 @@
 //
 //   gfc-analyze SCENARIO [options]
 //
-// SCENARIO:
+// SCENARIO (--list-scenarios prints the ranges of N, H and K):
 //   ring[:N[:H]]        N-switch ring (default 3), flows i -> i+H (def. 2)
 //   fattree:K           k-ary fat-tree, shortest-path ECMP, no failures
 //   fattree:K:seed=S    + the Table 1 recipe: 5% random failures from the
@@ -82,7 +82,7 @@ int usage(const char* prog) {
 }
 
 int list_scenarios() {
-  std::fputs(
+  std::printf(
       "gfc-analyze scenarios (SCENARIO argument grammar):\n"
       "  ring              3-switch ring, flows i -> i+2 (Figure 1)\n"
       "  ring:N            N-switch ring, flows i -> i+2\n"
@@ -95,8 +95,11 @@ int list_scenarios() {
       "                    + fail the a-th, b-th, ... switch-to-switch link\n"
       "                    (indices into the deterministic switch-link list)\n"
       "  incast:N          N senders, 1 receiver, 1 switch dumbbell\n"
-      "  loop2             2-switch routing loop (minimal lint fixture)\n",
-      stdout);
+      "  loop2             2-switch routing loop (minimal lint fixture)\n"
+      "Ranges: ring 3 <= N <= %ld and 1 <= H < N; fattree even K in\n"
+      "[2, %ld]; incast 1 <= N <= %ld; seed S >= 1. Any other value exits 2.\n",
+      analyze::kMaxRingSwitches, analyze::kMaxFatTreeK,
+      analyze::kMaxIncastSenders);
   return 0;
 }
 
