@@ -6,6 +6,7 @@
 #include "analyze/cycles.hpp"
 #include "analyze/detail.hpp"
 #include "net/packet.hpp"
+#include "topo/first_cycle.hpp"
 
 namespace gfc::analyze {
 
@@ -57,17 +58,6 @@ namespace {
 
 using topo::DirectedLink;
 
-/// Consecutive switch-to-switch hops of a concrete node path (the
-/// dependency-edge construction of BufferDependencyGraph::add_path).
-std::vector<DirectedLink> switch_hops(const topo::Topology& topo,
-                                      const std::vector<topo::NodeIndex>& path) {
-  std::vector<DirectedLink> hops;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i)
-    if (!topo.is_host(path[i]) && !topo.is_host(path[i + 1]))
-      hops.push_back({path[i], path[i + 1]});
-  return hops;
-}
-
 /// The report's cycle list, each CycleInfo built once in its final slot.
 /// Canonical form rotates every cycle so its smallest link leads; canonical
 /// order sorts by length, then by link sequence. Both are computed on
@@ -108,7 +98,7 @@ void fill_cycle_infos(const Input& in, const topo::BufferDependencyGraph& graph,
   std::vector<std::vector<std::pair<DirectedLink, DirectedLink>>> flow_edges;
   for (const FlowSpec& f : in.flows) {
     const auto hops =
-        switch_hops(*in.topo, in.routing->trace(f.src, f.dst, f.salt));
+        topo::switch_hops(*in.topo, in.routing->trace(f.src, f.dst, f.salt));
     std::vector<std::pair<DirectedLink, DirectedLink>> edges;
     for (std::size_t i = 0; i + 1 < hops.size(); ++i)
       edges.push_back({hops[i], hops[i + 1]});
@@ -248,13 +238,10 @@ void lint_routing(const Input& in, Report* rep) {
   constexpr topo::DirectedLink kNoValley{-1, -1};
   std::vector<std::string> loop_of(classes);  // the loop's node chain, if any
   std::vector<topo::DirectedLink> valley_of(hosts.size(), kNoValley);
-  std::vector<char> color(nodes);  // 0 white, 1 grey, 2 black
-  std::vector<topo::NodeIndex> parent(nodes);
   std::vector<char> seen(2 * nodes);  // (switch, descended) BFS states
   // The host position whose row first holds each switch: over every host
   // row, and over all rows but one member's.
   std::vector<std::size_t> first_all(nodes), first_but(nodes);
-  std::vector<std::pair<topo::NodeIndex, std::size_t>> stack;
   std::vector<std::pair<topo::NodeIndex, bool>> frontier;
   std::vector<topo::NodeIndex> seeds_all, seeds;
 
@@ -301,44 +288,18 @@ void lint_routing(const Input& in, Report* rep) {
   };
 
   for (std::size_t c = 0; c < classes; ++c) {
-    // Loop detection: tri-color DFS over switch next-hops, reporting the
-    // first cycle found (deterministic: switches ascending, next hops in
-    // table order).
-    std::fill(color.begin(), color.end(), 0);
-    bool loop_reported = false;
-    for (const topo::NodeIndex root : switches) {
-      if (loop_reported || color[at(root)] != 0) continue;
-      stack.assign(1, {root, 0});
-      color[at(root)] = 1;
-      while (!stack.empty() && !loop_reported) {
-        auto& [v, next] = stack.back();
-        const std::span<const topo::NodeIndex> hops = routing.row(c, v);
-        std::size_t i = next++;
-        // Skip host next-hops (delivery, not transit).
-        while (i < hops.size() && topo.is_host(hops[i])) i = next++;
-        if (i < hops.size()) {
-          const topo::NodeIndex w = hops[i];
-          if (color[at(w)] == 0) {
-            color[at(w)] = 1;
-            parent[at(w)] = v;
-            stack.push_back({w, 0});
-          } else if (color[at(w)] == 1) {
-            // The tree path w .. v, then the back edge closing on w.
-            std::vector<topo::NodeIndex> chain{v};
-            for (topo::NodeIndex u = v; u != w; u = parent[at(u)])
-              chain.push_back(parent[at(u)]);
-            std::string cyc;
-            for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-              cyc += topo.node(*it).name + " -> ";
-            cyc += topo.node(w).name;
-            loop_of[c] = std::move(cyc);
-            loop_reported = true;
-          }
-        } else {
-          color[at(v)] = 2;
-          stack.pop_back();
-        }
-      }
+    // Loop detection: the first cycle over switch next hops (switches
+    // ascending, next hops in table order). Host next hops are
+    // deliveries, so hosts are sinks.
+    const std::vector<int> loop =
+        topo::first_cycle(nodes, switches, [&](int v) {
+          return topo.is_host(v) ? std::span<const topo::NodeIndex>()
+                                 : routing.row(c, v);
+        });
+    if (!loop.empty()) {
+      // The tree path w .. v, then the back edge closing on w.
+      for (const int v : loop) loop_of[c] += topo.node(v).name + " -> ";
+      loop_of[c] += topo.node(loop.front()).name;
     }
 
     if (!layered) continue;

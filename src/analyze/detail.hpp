@@ -1,17 +1,17 @@
 // The shared back half of analyze() — the seam the incremental analyzer
 // plugs into.
 //
-// analyze() builds the buffer-dependency graph from scratch and runs
-// Johnson's enumeration; IncrementalAnalyzer replays cached per-
-// destination closure ops and reuses per-SCC cycle sets. Both then hand
-// the assembled graph, its SCCs and its cycles to finish_report(), which
-// fills *everything else* in the Report (header, tau, graph/SCC stats,
-// canonical cycle list with per-cycle flow coverage, bound checks,
-// routing lints). Because the two paths share this single exit, their
-// reports — and the JSON bytes derived from them — are identical by
-// construction; the randomized flap differential test in
-// tests/incremental_test.cpp holds the construction halves to the same
-// standard.
+// Both analyze() and IncrementalAnalyzer build the buffer-dependency
+// graph with the one routing closure (add_routing_closure). analyze()
+// then runs Johnson's enumeration on the whole graph; IncrementalAnalyzer
+// reuses per-SCC cycle sets. Both hand the assembled graph, its SCCs and
+// its cycles to finish_report(), which fills *everything else* in the
+// Report (header, tau, graph/SCC stats, canonical cycle list with
+// per-cycle flow coverage, bound checks, routing lints). Because the two
+// paths share this single exit, their reports — and the JSON bytes
+// derived from them — are identical by construction; the randomized flap
+// differential test in tests/incremental_test.cpp holds the cycle halves
+// to the same standard.
 #pragma once
 
 #include <vector>

@@ -18,36 +18,9 @@ constexpr std::size_t kSccCacheCap = 64;
 
 const Report& IncrementalAnalyzer::update(const topo::RoutingTable& routing) {
   ++stats_.updates;
-  const topo::Topology& topo = *in_.topo;
-  class_cache_.resize(routing.class_count());
-
-  // Rebuild the graph as the from-scratch closure would: per destination
-  // class in class order, replaying cached ops when the class's column is
-  // unchanged. apply_ops performs exactly the vertex creations and edge
-  // appends add_routing_closure would, in the same order, so vertex
-  // numbering and adjacency come out identical.
-  topo::BufferDependencyGraph graph(topo);
-  for (std::size_t c = 0; c < routing.class_count(); ++c) {
-    ClassCache& cache = class_cache_[c];
-    const topo::RoutingTable::Column col = routing.column(c);
-    const std::uint32_t base = col.offsets.front();
-    bool same = cache.row_ends.size() + 1 == col.offsets.size() &&
-                std::equal(cache.hops.begin(), cache.hops.end(),
-                           col.hops.begin(), col.hops.end());
-    for (std::size_t x = 0; same && x < cache.row_ends.size(); ++x)
-      same = cache.row_ends[x] == col.offsets[x + 1] - base;
-    if (same) {
-      ++stats_.dst_reused;
-    } else {
-      ++stats_.dst_recomputed;
-      cache.ops = topo::class_closure_ops(topo, routing, c);
-      cache.hops.assign(col.hops.begin(), col.hops.end());
-      cache.row_ends.resize(col.offsets.size() - 1);
-      for (std::size_t x = 0; x < cache.row_ends.size(); ++x)
-        cache.row_ends[x] = col.offsets[x + 1] - base;
-    }
-    graph.apply_ops(cache.ops);
-  }
+  stats_.dst_recomputed += routing.class_count();
+  topo::BufferDependencyGraph graph(*in_.topo);
+  graph.add_routing_closure(routing);
 
   const auto& links = graph.links();
   const Adjacency& adj = graph.adjacency();

@@ -1,27 +1,17 @@
 // Fault-aware incremental re-analysis.
 //
 // A link flap (src/fault) followed by a routing recompute invalidates the
-// pre-flight verdict; re-running analyze() from scratch on every flap is
-// wasteful because most of the work is untouched: a failed link changes
-// the routing columns of only the destination classes it carried, and
-// most strongly-connected components of the buffer-dependency graph keep
-// the exact same shape.
+// pre-flight verdict. Each update() rebuilds the buffer-dependency graph
+// with the same closure analyze() runs (add_routing_closure): a switch-
+// link failure reroutes around it, which changes every class's column,
+// so a closure kept per class would almost never be reused. What does
+// recur is the shape of the graph's cyclic parts, and that is cached:
 //
-// IncrementalAnalyzer exploits both:
-//
-//  1. Per-class closure-op caching. The graph construction is the
-//     concatenation of per-class op sequences (see
-//     topo::class_closure_ops), each a pure function of the class's
-//     routing column. Each class's stored column is compared in place
-//     with the cached copy by *exact equality* (never a hash — a
-//     collision would silently break byte-identity); unchanged columns
-//     replay their cached ops. A host-link flap changes the partition
-//     into classes; the columns then differ and the ops are rebuilt.
-//  2. Per-SCC cycle caching. Elementary cycles never cross SCC
-//     boundaries, so each cyclic SCC is enumerated alone and the result
-//     cached under the SCC's canonical shape (member links sorted, edges
-//     as positions in that order). A recurring shape — the common case
-//     when a flap rewires one corner of a fat tree — reuses its cycle set.
+//  Per-SCC cycle caching. Elementary cycles never cross SCC boundaries,
+//  so each cyclic SCC is enumerated alone and the result cached under the
+//  SCC's canonical shape (member links sorted, edges as positions in that
+//  order). A recurring shape — the common case when a flap rewires one
+//  corner of a fat tree — reuses its cycle set.
 //
 // Every update() ends in the same detail::finish_report() seam analyze()
 // uses, so the produced Report (and its JSON) is byte-identical to a
@@ -36,7 +26,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -48,8 +37,10 @@ class IncrementalAnalyzer {
  public:
   struct Stats {
     std::size_t updates = 0;
-    std::size_t dst_recomputed = 0;    // a class's routing column changed
-    std::size_t dst_reused = 0;        // a class's cached ops replayed
+    // Destination classes closed: every update closes all of them, so
+    // dst_reused (no closure is reused) stays 0. perfbench reads both.
+    std::size_t dst_recomputed = 0;
+    std::size_t dst_reused = 0;
     std::size_t scc_enumerations = 0;  // Johnson runs on one SCC
     std::size_t scc_reused = 0;        // cycle set served from cache
     std::size_t full_fallbacks = 0;    // report is the capped whole-graph set
@@ -71,16 +62,6 @@ class IncrementalAnalyzer {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct ClassCache {
-    /// The stored column this entry was computed from (see
-    /// topo::RoutingTable::Column): row ends relative to the column's
-    /// start, and its hops. Starts empty (never equal to a real column,
-    /// which has one row end per node), so first use always recomputes.
-    std::vector<std::uint32_t> row_ends;
-    std::vector<topo::NodeIndex> hops;
-    std::vector<topo::ClosureOp> ops;
-  };
-
   /// Canonical, vertex-numbering-independent shape of one cyclic SCC:
   /// its member links ascending, its internal edges as (from, to)
   /// positions in that order.
@@ -97,9 +78,6 @@ class IncrementalAnalyzer {
   };
 
   Input in_;
-  /// One entry per destination class, by class number (the order the
-  /// from-scratch closure uses).
-  std::vector<ClassCache> class_cache_;
   /// Linear-scanned, FIFO-evicted (insertion order — deterministic).
   std::vector<SccCacheEntry> scc_cache_;
   Report report_;

@@ -174,16 +174,11 @@ Repairs suggest_repairs(const Input& in, const Report& rep) {
           continue;
         filtered[v].push_back(w);
       }
-    bool acyclic = true;
-    for (const auto& comp : strongly_connected_components(filtered)) {
-      const auto& o = filtered[static_cast<std::size_t>(comp.front())];
-      if (comp.size() > 1 ||
-          std::find(o.begin(), o.end(), comp.front()) != o.end()) {
-        acyclic = false;
-        break;
-      }
-    }
-    sug.verified_cbd_free = acyclic;
+    const auto sccs = strongly_connected_components(filtered);
+    sug.verified_cbd_free =
+        std::none_of(sccs.begin(), sccs.end(), [&](const std::vector<int>& c) {
+          return cyclic_component(filtered, c);
+        });
     out.suggestions.push_back(std::move(sug));
   }
 

@@ -3,9 +3,9 @@
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "topo/builders.hpp"
-#include "topo/cbd.hpp"
 #include "topo/scenario_gen.hpp"
 
 namespace gfc::analyze {
@@ -75,7 +75,9 @@ bool build_fattree_scenario(const std::vector<std::string>& parts,
   topo::build_fattree(out->topo, static_cast<int>(k));
   out->name = "fattree:" + std::to_string(k);
 
-  std::uint64_t stress_seed = 0;
+  // The stress flows' stream: Table 1's failure stream continued, as
+  // every Table 1 sampler draws them; a fail= list uses seed 1's stream.
+  std::optional<sim::Rng> stress_rng;
   if (parts.size() > 2) {
     const std::string& mod = parts[2];
     if (mod.rfind("seed=", 0) == 0) {
@@ -84,10 +86,9 @@ bool build_fattree_scenario(const std::vector<std::string>& parts,
                      "fattree: seed", &seed, err))
         return false;
       // The Table 1 sampling recipe: 5% failures from a k-salted stream.
-      sim::Rng rng(static_cast<std::uint64_t>(seed) * 7919 +
-                   static_cast<std::uint64_t>(k));
-      topo::random_failures(out->topo, rng, 0.05);
-      stress_seed = static_cast<std::uint64_t>(seed);
+      stress_rng.emplace(static_cast<std::uint64_t>(seed) * 7919 +
+                         static_cast<std::uint64_t>(k));
+      topo::random_failures(out->topo, *stress_rng, 0.05);
       out->name += ":seed=" + std::to_string(seed);
     } else if (mod.rfind("fail=", 0) == 0) {
       const auto sw_links = out->topo.switch_links();
@@ -98,7 +99,7 @@ bool build_fattree_scenario(const std::vector<std::string>& parts,
           return false;
         out->topo.fail_link(sw_links[static_cast<std::size_t>(idx)]);
       }
-      stress_seed = 1;
+      stress_rng.emplace(7919 + static_cast<std::uint64_t>(k));
       out->name += ":" + mod;
     } else {
       return fail(err, "fattree: unknown modifier '" + mod + "'");
@@ -108,14 +109,11 @@ bool build_fattree_scenario(const std::vector<std::string>& parts,
 
   // With failures: condition on the flows that fill the witness cycle,
   // exactly as Table 1 does, so the report shows cycle activation.
-  if (stress_seed != 0) {
-    topo::BufferDependencyGraph g(out->topo);
-    g.add_routing_closure(out->routing);
-    const topo::CbdResult cbd = g.find_cycle();
-    if (cbd.has_cbd) {
-      sim::Rng rng(stress_seed * 7919 + static_cast<std::uint64_t>(k));
-      const topo::CbdStress stress =
-          topo::build_cbd_stress(out->topo, out->routing, cbd.cycle, rng);
+  if (stress_rng) {
+    const CbdScreen screen = screen_cbd(out->topo, out->routing);
+    if (screen.prone) {
+      const topo::CbdStress stress = topo::build_cbd_stress(
+          out->topo, out->routing, screen.cycle, *stress_rng);
       if (stress.covered)
         for (const auto& f : stress.flows)
           out->flows.push_back({f.src, f.dst, f.salt});

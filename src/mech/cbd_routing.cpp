@@ -139,9 +139,7 @@ topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
 
   if (stats != nullptr) {
     *stats = RoutingStats{};
-    topo::BufferDependencyGraph g(topo);
-    g.add_routing_closure(table);
-    stats->cbd_free = !g.find_cycle().has_cbd;
+    stats->cbd_free = !topo::cbd_prone(topo, table);
 
     const topo::RoutingTable shortest = topo::compute_shortest_paths(topo);
     double sum_stretch = 0.0;
@@ -156,10 +154,8 @@ topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
           continue;
         }
         ++stats->pairs;
-        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-          if (!topo.is_host(path[i]) && !topo.is_host(path[i + 1]))
-            ++load[{path[i], path[i + 1]}];
-        }
+        for (const topo::DirectedLink& hop : topo::switch_hops(topo, path))
+          ++load[hop];
         const std::vector<NodeIndex> ideal = shortest.trace(src, dst, 0);
         if (ideal.size() >= 2) {
           const double stretch = static_cast<double>(path.size() - 1) /

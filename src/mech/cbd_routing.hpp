@@ -19,7 +19,7 @@
 //     ECMP candidates continue descending), otherwise only up hops. Every
 //     realized path is therefore up* down* regardless of ECMP choices, and
 //     the induced channel-dependency graph is acyclic (classic Autonet
-//     argument; verified per call via topo::BufferDependencyGraph and
+//     argument; verified per call via topo::cbd_prone and
 //     reported in RoutingStats::cbd_free).
 #pragma once
 

@@ -1,7 +1,9 @@
 #include "stats/deadlock.hpp"
 
 #include <algorithm>
-#include <map>
+#include <ranges>
+
+#include "topo/first_cycle.hpp"
 
 namespace gfc::stats {
 
@@ -12,17 +14,12 @@ DeadlockDetector::DeadlockDetector(net::Network& net, Options opts)
 
 bool DeadlockDetector::cycle_now(std::vector<std::pair<net::NodeId, int>>* cycle) {
   const sim::TimePs now = net_.sched().now();
-  // 1. Collect hold-and-wait egress ports.
-  std::map<std::pair<net::NodeId, int>, int> ids;
+  // 1. Collect hold-and-wait egress ports, in (node, port) order.
   std::vector<std::pair<net::NodeId, int>> ports;
   for (std::size_t n = 0; n < net_.node_count(); ++n) {
     net::Node& node = net_.node(static_cast<net::NodeId>(n));
-    for (int p = 0; p < node.port_count(); ++p) {
-      if (node.port(p).probe_hold_and_wait(now)) {
-        ids[{node.id(), p}] = static_cast<int>(ports.size());
-        ports.push_back({node.id(), p});
-      }
-    }
+    for (int p = 0; p < node.port_count(); ++p)
+      if (node.port(p).probe_hold_and_wait(now)) ports.push_back({node.id(), p});
   }
   if (ports.empty()) return false;
 
@@ -32,52 +29,31 @@ bool DeadlockDetector::cycle_now(std::vector<std::pair<net::NodeId, int>>* cycle
   std::vector<std::vector<int>> edges(ports.size());
   std::vector<int> targets;
   for (std::size_t i = 0; i < ports.size(); ++i) {
-    net::Node& a = net_.node(ports[i].first);
-    const auto peer = a.peer(ports[i].second);
+    const auto peer = net_.node(ports[i].first).peer(ports[i].second);
     if (peer.node == net::kInvalidNode) continue;
-    auto* b = dynamic_cast<net::SwitchNode*>(&net_.node(peer.node));
+    net::SwitchNode* b = net_.sw(peer.node);
     if (b == nullptr) continue;  // hosts sink everything
     b->head_targets(peer.port, &targets);
     for (int q : targets) {
-      const auto it = ids.find({b->id(), q});
-      if (it != ids.end()) edges[i].push_back(it->second);
+      const std::pair<net::NodeId, int> key{b->id(), q};
+      const auto it = std::lower_bound(ports.begin(), ports.end(), key);
+      if (it != ports.end() && *it == key)
+        edges[i].push_back(static_cast<int>(it - ports.begin()));
     }
   }
 
-  // 3. Cycle detection (tri-color DFS with parent chain for the witness).
-  const int n = static_cast<int>(ports.size());
-  std::vector<int> color(static_cast<std::size_t>(n), 0);
-  std::vector<int> parent(static_cast<std::size_t>(n), -1);
-  for (int root = 0; root < n; ++root) {
-    if (color[static_cast<std::size_t>(root)] != 0) continue;
-    std::vector<std::pair<int, std::size_t>> stack{{root, 0}};
-    color[static_cast<std::size_t>(root)] = 1;
-    while (!stack.empty()) {
-      auto& [v, next] = stack.back();
-      if (next < edges[static_cast<std::size_t>(v)].size()) {
-        const int w = edges[static_cast<std::size_t>(v)][next++];
-        if (color[static_cast<std::size_t>(w)] == 0) {
-          color[static_cast<std::size_t>(w)] = 1;
-          parent[static_cast<std::size_t>(w)] = v;
-          stack.push_back({w, 0});
-        } else if (color[static_cast<std::size_t>(w)] == 1) {
-          if (cycle != nullptr) {
-            std::vector<int> cyc{v};
-            for (int u = v; u != w; u = parent[static_cast<std::size_t>(u)])
-              cyc.push_back(parent[static_cast<std::size_t>(u)]);
-            std::reverse(cyc.begin(), cyc.end());
-            cycle->clear();
-            for (int u : cyc) cycle->push_back(ports[static_cast<std::size_t>(u)]);
-          }
-          return true;
-        }
-      } else {
-        color[static_cast<std::size_t>(v)] = 2;
-        stack.pop_back();
-      }
-    }
+  // 3. The first wait-for cycle, ports in (node, port) order.
+  const std::vector<int> found = topo::first_cycle(
+      ports.size(), std::views::iota(0, static_cast<int>(ports.size())),
+      [&edges](int v) -> const std::vector<int>& {
+        return edges[static_cast<std::size_t>(v)];
+      });
+  if (found.empty()) return false;
+  if (cycle != nullptr) {
+    cycle->clear();
+    for (const int v : found) cycle->push_back(ports[static_cast<std::size_t>(v)]);
   }
-  return false;
+  return true;
 }
 
 void DeadlockDetector::recover_cycle(

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,44 +28,37 @@ struct CbdResult {
   std::vector<DirectedLink> cycle;
 };
 
-/// One step of a destination class's routing-closure construction: ensure
-/// the vertex for `a` exists; when `edge` is set, also ensure `b`'s vertex
-/// and append the (deduplicated) dependency edge a -> b. Replaying a
-/// class's op sequence performs exactly the vertex creations and
-/// edge appends add_routing_closure would — in the same order — which is
-/// the contract the incremental analyzer's byte-identity rests on.
-struct ClosureOp {
-  DirectedLink a;
-  DirectedLink b;
-  bool edge = false;
-};
-
 class BufferDependencyGraph {
  public:
   explicit BufferDependencyGraph(const Topology& topo);
 
-  /// Add the dependencies induced by one concrete flow path (node ids).
+  /// The vertex of switch-to-switch link `l`, inserted on first use.
+  /// Vertices are numbered in insertion order.
+  int add_link(DirectedLink l);
+  /// The dependency of `a`'s buffer on `b`'s: inserts `a`'s vertex, then
+  /// `b`'s, then appends the edge a -> b unless `a` already has it. Out-
+  /// edges keep insertion order.
+  void add_dependency(DirectedLink a, DirectedLink b);
+
+  /// Add the dependencies induced by one concrete flow path (node ids):
+  /// each consecutive pair of its switch_hops().
   void add_path(const std::vector<NodeIndex>& path);
 
   /// Add dependencies for *every* ECMP option toward *every* host: the
   /// union routing closure. A cycle here means the scenario is CBD-prone
-  /// (the pre-filter used for Table 1). Replays class_closure_ops() once
-  /// per destination class, in class order; replaying a class again for
-  /// each further member would create no vertex and no edge, so this is
-  /// the per-host closure in hosts() order.
+  /// (the pre-filter used for Table 1). Built per destination class, in
+  /// class order: every switch s a source host can reach along the
+  /// class's ECMP DAG, ascending, inserts (s, n) for each switch next hop
+  /// n and the dependency (s, n) -> (n, m) for each switch next hop m of
+  /// n. That is the per-host closure in hosts() order, since a class's
+  /// further members would add no vertex and no edge.
   void add_routing_closure(const RoutingTable& routing);
 
-  /// Replay a recorded op sequence (see ClosureOp). Idempotent per op:
-  /// existing vertices and edges are reused, so mixing replay with
-  /// add_path/add_routing_closure is safe.
-  void apply_ops(const std::vector<ClosureOp>& ops);
-
-  /// One witness cycle, deterministically selected: a DFS in ascending
-  /// vertex order (vertices are numbered by first insertion, itself a
-  /// deterministic function of the added paths/closure) reports the first
-  /// back edge it meets, and the witness is rotated so its smallest
-  /// DirectedLink comes first. Exhaustive enumeration with per-cycle
-  /// metadata lives in analyze::analyze (src/analyze/).
+  /// One witness cycle, deterministically selected: first_cycle() with
+  /// roots in ascending vertex order and edges in insertion order (both a
+  /// pure function of the construction sequence), rotated so its
+  /// smallest DirectedLink comes first. Exhaustive enumeration with
+  /// per-cycle metadata lives in analyze::analyze (src/analyze/).
   CbdResult find_cycle() const;
 
   std::size_t vertex_count() const { return vertices_.size(); }
@@ -75,8 +69,6 @@ class BufferDependencyGraph {
   const std::vector<std::vector<int>>& adjacency() const { return edges_; }
 
  private:
-  int vertex(DirectedLink l);
-
   const Topology* topo_;
   /// Each node's position in topo_->switches() (-1 for hosts).
   std::vector<std::int32_t> switch_pos_;
@@ -87,16 +79,9 @@ class BufferDependencyGraph {
   std::vector<std::vector<int>> edges_;
 };
 
-/// The op sequence add_routing_closure performs for destination class
-/// `cls` (the same as for each of its member hosts), in execution order.
-/// A pure function of the topology's static structure (host/switch
-/// partition) and the class's stored column: two calls with equal columns
-/// return equal sequences, which is what lets the incremental analyzer
-/// cache per-class ops and replay them unchanged after unrelated link
-/// flaps.
-std::vector<ClosureOp> class_closure_ops(const Topology& topo,
-                                         const RoutingTable& routing,
-                                         std::size_t cls);
+/// The consecutive switch-to-switch hops of a node path, in path order.
+std::vector<DirectedLink> switch_hops(const Topology& topo,
+                                      std::span<const NodeIndex> path);
 
 /// Rotate a cycle of directed links so the smallest link (lexicographic
 /// (from, to) order) comes first. The canonical form every witness and

@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analyze/analyze.hpp"
@@ -325,6 +326,39 @@ std::vector<topo::LinkIndex> table1_failures(std::uint64_t seed) {
   topo::build_fattree(t, 4);
   sim::Rng rng(seed * 7919 + 4);
   return topo::random_failures(t, rng, 0.05);
+}
+
+TEST(AnalyzeScenario, SeedSpecStressFlowsAreTable1s) {
+  // fattree:4:seed=S carries the stress flows Table 1 simulates for seed
+  // S: its probe continues the failure stream (table1_deadlock_cases'
+  // scan_seed, fig16_17_overall's scan_prone_cases).
+  using Flow = std::tuple<topo::NodeIndex, topo::NodeIndex, std::uint64_t>;
+  int with_flows = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    topo::Topology t;
+    topo::build_fattree(t, 4);
+    sim::Rng rng(seed * 7919 + 4);
+    topo::random_failures(t, rng, 0.05);
+    const topo::RoutingTable routing = topo::compute_shortest_paths(t);
+    const CbdScreen screen = screen_cbd(t, routing);
+    std::vector<Flow> want;
+    if (screen.prone) {
+      const topo::CbdStress stress =
+          topo::build_cbd_stress(t, routing, screen.cycle, rng);
+      if (stress.covered)
+        for (const auto& f : stress.flows) want.emplace_back(f.src, f.dst, f.salt);
+    }
+    BuiltScenario sc;
+    std::string err;
+    ASSERT_TRUE(build_scenario("fattree:4:seed=" + std::to_string(seed), &sc,
+                               &err))
+        << err;
+    std::vector<Flow> got;
+    for (const FlowSpec& f : sc.flows) got.emplace_back(f.src, f.dst, f.salt);
+    EXPECT_EQ(got, want) << "seed " << seed;
+    if (!want.empty()) ++with_flows;
+  }
+  EXPECT_EQ(with_flows, 8);
 }
 
 TEST(AnalyzeXval, CbdFreeFabricNeverDeadlocksUnderPfc) {

@@ -205,6 +205,15 @@ inline PerHostRoutes reference_cbd_free_routes(const Topology& topo) {
   return table;
 }
 
+/// One step of the per-host closure: insert `a`'s vertex; when `edge` is
+/// set, also the dependency a -> b (BufferDependencyGraph::add_link and
+/// add_dependency).
+struct ClosureOp {
+  DirectedLink a;
+  DirectedLink b;
+  bool edge = false;
+};
+
 /// The closure ops for one destination host, read through any table with
 /// next_hops(at, dst).
 template <typename Table>

@@ -252,17 +252,19 @@ TEST(Deadlock, FourSwitchRingWitnessIsTheClockwiseCycle) {
   ASSERT_TRUE(detector.deadlocked());
 
   // Every flow runs clockwise, so the witness must be exactly the four
-  // clockwise inter-switch egress ports S_i -> S_{i+1}.
+  // clockwise inter-switch egress ports S_i -> S_{i+1}. The search roots
+  // at the smallest (node, port), S0's, and follows the wait-for edges
+  // from there: the order the flight dumps print.
   std::vector<std::pair<net::NodeId, int>> want;
   for (int i = 0; i < 4; ++i) {
     const auto from = s.info.switches[static_cast<std::size_t>(i)];
     const auto to = s.info.switches[static_cast<std::size_t>((i + 1) % 4)];
     want.emplace_back(from, s.fabric->port_to(from, to));
   }
-  std::sort(want.begin(), want.end());
-  auto cycle = detector.cycle();
-  std::sort(cycle.begin(), cycle.end());
-  EXPECT_EQ(cycle, want);
+  EXPECT_EQ(detector.cycle(), want);
+  std::vector<std::pair<net::NodeId, int>> now;
+  ASSERT_TRUE(detector.cycle_now(&now));
+  EXPECT_EQ(now, want);
 }
 
 TEST(Deadlock, StopOnDetectHaltsEarly) {

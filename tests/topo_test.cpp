@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ranges>
 #include <set>
+#include <vector>
 
+#include "topo/first_cycle.hpp"
 #include "topo/scenario_gen.hpp"
 
 namespace gfc::topo {
@@ -165,6 +168,64 @@ TEST(Cbd, WitnessCycleIsConsistent) {
   // Consecutive cycle entries must chain: (a,b) -> (b,c).
   for (std::size_t i = 0; i < r.cycle.size(); ++i)
     EXPECT_EQ(r.cycle[i].second, r.cycle[(i + 1) % r.cycle.size()].first);
+}
+
+// first_cycle on hand-built adjacency lists, every vertex a root in
+// ascending order unless a test names the roots.
+std::vector<int> first_cycle_of(const std::vector<std::vector<int>>& adj,
+                                const std::vector<int>& roots) {
+  return first_cycle(adj.size(), roots, [&adj](int v) -> const std::vector<int>& {
+    return adj[static_cast<std::size_t>(v)];
+  });
+}
+std::vector<int> first_cycle_of(const std::vector<std::vector<int>>& adj) {
+  std::vector<int> roots(adj.size());
+  for (std::size_t v = 0; v < roots.size(); ++v) roots[v] = static_cast<int>(v);
+  return first_cycle_of(adj, roots);
+}
+
+TEST(FirstCycle, AcyclicGraphHasNone) {
+  // A diamond with a tail: two paths to one vertex are no cycle.
+  EXPECT_TRUE(first_cycle_of({{1, 2}, {3}, {3}, {4}, {}}).empty());
+  EXPECT_TRUE(first_cycle_of({}).empty());
+}
+
+TEST(FirstCycle, SelfLoopIsOneVertex) {
+  EXPECT_EQ(first_cycle_of({{1}, {2}, {2}}), (std::vector<int>{2}));
+}
+
+TEST(FirstCycle, EarlierRootsCycleWins) {
+  // 0 -> 1 -> 0 and 2 -> 3 -> 2 are disjoint: the root order decides.
+  const std::vector<std::vector<int>> adj{{1}, {0}, {3}, {2}};
+  EXPECT_EQ(first_cycle_of(adj), (std::vector<int>{0, 1}));
+  EXPECT_EQ(first_cycle_of(adj, {3, 0}), (std::vector<int>{3, 2}));
+  // A root that reaches no cycle is passed over for the next one.
+  EXPECT_EQ(first_cycle_of({{}, {2}, {1}}, {0, 2}), (std::vector<int>{2, 1}));
+}
+
+TEST(FirstCycle, SuccessorOrderPicksTheCycle) {
+  // From root 0, 0 -> 1 -> 0 and 0 -> 2 -> 3 -> 0 both close on 0; the
+  // first successor listed is followed first. The witness is the tree
+  // path from the back edge's target to its source.
+  EXPECT_EQ(first_cycle_of({{1, 2}, {0}, {3}, {0}}), (std::vector<int>{0, 1}));
+  EXPECT_EQ(first_cycle_of({{2, 1}, {0}, {3}, {0}}),
+            (std::vector<int>{0, 2, 3}));
+  // The back edge may close on a vertex deeper than the root.
+  EXPECT_EQ(first_cycle_of({{1}, {2}, {3}, {1}}), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(FirstCycle, SinkNeverEntersAWitness) {
+  // Vertex 1 lists successors, but the callback makes it a sink (the
+  // routing-loop lint does this to hosts): 0 -> 1 -> 0 is then no cycle,
+  // and the search goes on to 0 -> 2 -> 0.
+  const std::vector<std::vector<int>> adj{{1, 2}, {0}, {0}};
+  const std::vector<int> none;
+  const auto succ = [&](int v) -> const std::vector<int>& {
+    return v == 1 ? none : adj[static_cast<std::size_t>(v)];
+  };
+  EXPECT_EQ(first_cycle(adj.size(), std::views::iota(0, 3), succ),
+            (std::vector<int>{0, 2}));
+  EXPECT_EQ(first_cycle(adj.size(), std::views::iota(1, 2), succ), none);
 }
 
 TEST(ScenarioGen, RandomFailuresKeepHostsConnected) {
