@@ -91,7 +91,7 @@ exp::TrialResult run_loss_trial(bool ring, const MechSpec& m, double drop,
                                 const std::string& trial_name) {
   ScenarioConfig cfg = config_for(m, base);
   cfg.fault.seed = fault_seed;
-  cfg.fault.rate(unblock_frame(m.kind)).drop = drop;
+  cfg.fault.drop(unblock_frame(m.kind)) = drop;
   cfg.trace = cli.trace_options();
 
   RingScenario rs;

@@ -14,13 +14,14 @@ namespace {
 [[noreturn]] void usage_and_exit(const char* prog, const char* bad) {
   std::fprintf(stderr, "unknown or incomplete argument: %s\n", bad);
   std::fprintf(stderr,
-               "usage: %s [--quick] [--jobs N] [--seed N] [--scale F] "
+               "usage: %s [--quick] [--jobs N] [--seed N] [--scale F<=%g] "
                "[--json PATH] [--timing] [--no-progress] [--analyze[=fail]] "
                "[--cbd-free-routing] "
                "[--trace] [--trace-out DIR] [--trace-categories LIST] "
-               "[--resume PATH]... [--journal PATH] [--trial-timeout SECS] "
+               "[--resume PATH]... [--journal PATH] "
+               "[--trial-timeout SECS<=%g] "
                "[--retries N] [--shard I/N] [--wedge TRIAL]\n",
-               prog);
+               prog, kMaxScale, kMaxTrialTimeoutS);
   std::exit(2);
 }
 
@@ -53,13 +54,16 @@ std::uint64_t parse_u64(const char* prog, const char* flag, const char* text) {
 }
 
 double parse_positive_double(const char* prog, const char* flag,
-                             const char* text) {
+                             const char* text, double max_value) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !(v > 0)) {
-    std::fprintf(stderr, "%s: expected a positive number, got '%s'\n", flag,
-                 text);
+  if (end == text || *end != '\0' || errno == ERANGE || !(v > 0) ||
+      v > max_value) {
+    std::fprintf(stderr,
+                 "%s: expected a positive number no larger than %g, got "
+                 "'%s'\n",
+                 flag, max_value, text);
     usage_and_exit(prog, flag);
   }
   return v;
@@ -115,7 +119,7 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if ((v = flag_value(argv[0], "--seed", argc, argv, &i))) {
       opts.seed = parse_u64(argv[0], "--seed", v);
     } else if ((v = flag_value(argv[0], "--scale", argc, argv, &i))) {
-      opts.scale = parse_positive_double(argv[0], "--scale", v);
+      opts.scale = parse_positive_double(argv[0], "--scale", v, kMaxScale);
     } else if ((v = flag_value(argv[0], "--json", argc, argv, &i))) {
       opts.json_path = v;
     } else if ((v = flag_value(argv[0], "--resume", argc, argv, &i))) {
@@ -123,8 +127,8 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if ((v = flag_value(argv[0], "--journal", argc, argv, &i))) {
       opts.journal_path = v;
     } else if ((v = flag_value(argv[0], "--trial-timeout", argc, argv, &i))) {
-      opts.trial_timeout_s =
-          parse_positive_double(argv[0], "--trial-timeout", v);
+      opts.trial_timeout_s = parse_positive_double(argv[0], "--trial-timeout",
+                                                   v, kMaxTrialTimeoutS);
     } else if ((v = flag_value(argv[0], "--retries", argc, argv, &i))) {
       opts.retries =
           static_cast<int>(parse_ll(argv[0], "--retries", v, 0, 1000));

@@ -3,7 +3,7 @@
 //   --quick       shrunken sweep for smoke runs
 //   --seed N      offset added to every trial's RNG seeds [default 0]
 //   --scale F     sweep-size multiplier for the scaling benches (table1
-//                 topology counts)                      [default 1]
+//                 topology counts), at most kMaxScale   [default 1]
 //   --json PATH   write the campaign's JSON results to PATH
 //   --timing      include wall-clock metadata in the JSON
 //   --no-progress suppress the live progress/ETA line
@@ -26,7 +26,8 @@
 //   --journal PATH        write the journal here instead of the first
 //                         --resume path (or with no --resume at all)
 //   --trial-timeout SECS  watchdog: cancel a trial attempt after SECS
-//                         wall-clock seconds, record it as timed_out
+//                         wall-clock seconds (at most kMaxTrialTimeoutS),
+//                         record it as timed_out
 //   --retries N           re-run a timed-out trial up to N extra times
 //                         (same seed) before recording the timeout
 //   --shard I/N           run only shard I of N (contiguous trial-id
@@ -43,6 +44,12 @@
 #include "trace/trace.hpp"
 
 namespace gfc::exp {
+
+/// Upper bounds of the floating-point flags. Past them the watchdog's
+/// nanosecond budget and table1's per-k sample counts overflow their
+/// integer types; a larger value exits 2 like a malformed one.
+inline constexpr double kMaxTrialTimeoutS = 1e6;
+inline constexpr double kMaxScale = 1000;
 
 struct CliOptions {
   int jobs = 1;
@@ -125,8 +132,8 @@ struct CliOptions {
 };
 
 /// Parse the flags above; on an unknown argument, missing flag value, or a
-/// malformed numeric value (--jobs=abc, --shard 4/0, ...), prints usage to
-/// stderr and exits with status 2.
+/// malformed or out-of-range numeric value (--jobs=abc, --shard 4/0,
+/// --scale 1e30, ...), prints usage to stderr and exits with status 2.
 CliOptions parse_cli(int argc, char** argv);
 
 /// run_campaign with the CLI's crash-safety options, translating journal

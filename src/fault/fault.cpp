@@ -11,30 +11,18 @@ FaultPlan::~FaultPlan() {
   if (net_.fault_hook() == this) net_.set_fault_hook(nullptr);
 }
 
-net::ControlFaultHook::Verdict FaultPlan::on_control_frame(
-    const net::Packet& pkt) {
-  const auto& r = cfg_.rates[static_cast<std::size_t>(pkt.type)];
-  if (!r.any()) return {};
+bool FaultPlan::drop(const net::Packet& pkt) {
+  const auto type = static_cast<std::size_t>(pkt.type);
+  const double p = cfg_.drop_prob[type];
+  if (!(p > 0)) return false;
   const sim::TimePs now = net_.sched().now();
-  if (now < cfg_.active_from || now >= cfg_.active_until) return {};
+  if (now < cfg_.active_from || now >= cfg_.active_until) return false;
   ++counters_.consulted;
-  // One draw per frame, stacked thresholds: keeps the random stream's
-  // length independent of which fault class fires.
-  const double u = rng_.uniform_real();
-  if (u < r.drop) {
-    ++counters_.dropped;
-    ++counters_.dropped_by_type[static_cast<std::size_t>(pkt.type)];
-    return {Action::kDrop, 0};
-  }
-  if (u < r.drop + r.dup) {
-    ++counters_.duplicated;
-    return {Action::kDuplicate, 0};
-  }
-  if (u < r.drop + r.dup + r.delay_prob) {
-    ++counters_.delayed;
-    return {Action::kDelay, r.delay};
-  }
-  return {};
+  // One draw per consulted frame, whether or not it is lost.
+  if (rng_.uniform_real() >= p) return false;
+  ++counters_.dropped;
+  ++counters_.dropped_by_type[type];
+  return true;
 }
 
 }  // namespace gfc::fault

@@ -2,10 +2,10 @@
 //
 // A FaultPlan installs itself as the Network's ControlFaultHook and decides
 // — from one seeded RNG draw per consulted frame — whether each PFC
-// pause/resume, CBFC credit or GFC feedback frame is dropped, duplicated or
-// delayed on the wire. Rates are per PacketType, so an experiment can lose
-// only RESUMEs (the classic PFC wedge) or only credits, and an optional
-// [active_from, active_until) window scopes the faults to part of the run
+// pause/resume, CBFC credit or GFC feedback frame is lost on the wire.
+// Drop probabilities are per PacketType, so an experiment can lose only
+// RESUMEs (the classic PFC wedge) or only credits, and an optional
+// [active_from, active_until) window scopes the losses to part of the run
 // (deterministic "lose the next RESUME" regression tests).
 //
 // Determinism: the plan owns its own Rng (never the Network's), consumes
@@ -24,42 +24,21 @@
 
 namespace gfc::fault {
 
-/// Per-PacketType fault rates. Probabilities are evaluated in drop ->
-/// duplicate -> delay order from a single uniform draw (stacked
-/// thresholds), so drop + dup + delay_prob should stay <= 1.
-struct ControlFaultRates {
-  double drop = 0.0;
-  double dup = 0.0;
-  double delay_prob = 0.0;
-  sim::TimePs delay = 0;  // extra wire latency when delayed
-
-  bool any() const { return drop > 0 || dup > 0 || delay_prob > 0; }
-};
-
 struct FaultConfig {
   std::uint64_t seed = 1;
   /// Faults apply only to frames entering the wire in [from, until).
   sim::TimePs active_from = 0;
   sim::TimePs active_until = sim::kTimeNever;
 
-  std::array<ControlFaultRates, 8> rates{};  // indexed by PacketType
+  std::array<double, 8> drop_prob{};  // indexed by PacketType
 
-  ControlFaultRates& rate(net::PacketType t) {
-    return rates[static_cast<std::size_t>(t)];
-  }
-  const ControlFaultRates& rate(net::PacketType t) const {
-    return rates[static_cast<std::size_t>(t)];
-  }
-
-  /// Same rates for every link-control type (the "lossy wire" model).
-  void set_all_control(const ControlFaultRates& r) {
-    for (std::size_t t = 0; t < rates.size(); ++t)
-      if (net::is_link_control(static_cast<net::PacketType>(t))) rates[t] = r;
+  double& drop(net::PacketType t) {
+    return drop_prob[static_cast<std::size_t>(t)];
   }
 
   bool enabled() const {
-    for (const auto& r : rates)
-      if (r.any()) return true;
+    for (const double p : drop_prob)
+      if (p > 0) return true;
     return false;
   }
 };
@@ -72,13 +51,11 @@ class FaultPlan final : public net::ControlFaultHook {
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
 
-  Verdict on_control_frame(const net::Packet& pkt) override;
+  bool drop(const net::Packet& pkt) override;
 
   struct Counters {
     std::uint64_t consulted = 0;
     std::uint64_t dropped = 0;
-    std::uint64_t duplicated = 0;
-    std::uint64_t delayed = 0;
     std::array<std::uint64_t, 8> dropped_by_type{};  // indexed by PacketType
   };
   const Counters& counters() const { return counters_; }

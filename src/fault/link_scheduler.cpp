@@ -1,6 +1,5 @@
 #include "fault/link_scheduler.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace gfc::fault {
@@ -32,27 +31,6 @@ void LinkScheduler::apply(const LinkEvent& ev) {
   // Move stranded packets after routing settled; for an `up` transition the
   // pass is a no-op unless other links are still down.
   if (!ev.up) net_.reroute_stranded();
-}
-
-std::vector<LinkEvent> LinkScheduler::random_flaps(
-    const std::vector<std::pair<net::NodeId, net::NodeId>>& links,
-    sim::Rng& rng, int count, sim::TimePs window_from, sim::TimePs window_until,
-    sim::TimePs outage) {
-  assert(!links.empty() && window_until > window_from);
-  std::vector<LinkEvent> out;
-  out.reserve(static_cast<std::size_t>(count) * 2);
-  for (int i = 0; i < count; ++i) {
-    const auto& [a, b] = links[rng.pick_index(links.size())];
-    const sim::TimePs down_at =
-        rng.uniform_int(window_from, window_until - 1);
-    out.push_back(LinkEvent{down_at, a, b, /*up=*/false});
-    out.push_back(LinkEvent{down_at + outage, a, b, /*up=*/true});
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const LinkEvent& x, const LinkEvent& y) {
-                     return x.at < y.at;
-                   });
-  return out;
 }
 
 }  // namespace gfc::fault

@@ -1,17 +1,13 @@
 // Mid-run link failures: take full-duplex links down and up at scheduled
-// instants (or at seeded random flap times). On every transition the
-// scheduler flips the Network link state, lets the caller recompute routing
-// (on_change callback), then asks switches to re-route packets stranded
-// behind dead egresses — the runtime counterpart of the static failure
-// sets in Table 1 / Figure 11.
+// instants. On every transition the scheduler flips the Network link
+// state, lets the caller recompute routing (on_change callback), then asks
+// switches to re-route packets stranded behind dead egresses — the runtime
+// counterpart of the static failure sets in Table 1 / Figure 11.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "net/network.hpp"
-#include "sim/random.hpp"
 #include "sim/time.hpp"
 
 namespace gfc::fault {
@@ -35,14 +31,6 @@ class LinkScheduler {
   /// Convenience: down at `down_at`, back up at `up_at`.
   void schedule_flap(net::NodeId a, net::NodeId b, sim::TimePs down_at,
                      sim::TimePs up_at);
-
-  /// Seeded random flaps: `count` outages of `outage` each, uniformly
-  /// placed in [window_from, window_until), each on a uniformly chosen link
-  /// from `links`. Sorted by time for reproducible application order.
-  static std::vector<LinkEvent> random_flaps(
-      const std::vector<std::pair<net::NodeId, net::NodeId>>& links,
-      sim::Rng& rng, int count, sim::TimePs window_from,
-      sim::TimePs window_until, sim::TimePs outage);
 
   int downs() const { return downs_; }
   int ups() const { return ups_; }

@@ -1,7 +1,6 @@
 #include "flowctl/cbfc.hpp"
 
 #include <cassert>
-#include <limits>
 
 namespace gfc::flowctl {
 
@@ -70,12 +69,6 @@ void CbfcModule::on_control(int port, const Packet& pkt) {
                         pkt.fc_priority, pkt.id, pkt.fc_value());
   gate->update_fccl(pkt.fc_priority, pkt.fc_value());
   node().port(port).kick();
-}
-
-std::int64_t CbfcModule::available_credits(int port, int prio) const {
-  const CreditGate* gate = gates_[static_cast<std::size_t>(port)];
-  if (gate == nullptr) return std::numeric_limits<std::int64_t>::max();
-  return gate->credits(prio);
 }
 
 }  // namespace gfc::flowctl

@@ -45,11 +45,6 @@ class CbfcModule final : public LinkFcBase {
 
   const CbfcConfig& config() const { return cfg_; }
 
-  /// Upstream view: available credit blocks on (port, prio); for tests and
-  /// the deadlock wait-for graph. Ports without a credit gate report a huge
-  /// value.
-  std::int64_t available_credits(int port, int prio) const;
-
  protected:
   void on_attach() override;
 
@@ -81,10 +76,6 @@ class CbfcModule final : public LinkFcBase {
         cur = fccl;  // FCCL is cumulative, never regresses
         exhausted_[static_cast<std::size_t>(prio)] = false;
       }
-    }
-    std::int64_t credits(int prio) const {
-      const auto p = static_cast<std::size_t>(prio);
-      return fccl_[p] - fctbs_[p];
     }
 
    private:

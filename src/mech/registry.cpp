@@ -26,12 +26,6 @@ const std::vector<MechSpec>& all_mechanisms() {
   return kMechs;
 }
 
-const MechSpec* find_mechanism(std::string_view name) {
-  for (const MechSpec& m : all_mechanisms())
-    if (m.name == name) return &m;
-  return nullptr;
-}
-
 std::optional<FcSetup> setup_for(const MechSpec& spec, std::int64_t buffer,
                                  sim::Rate c, sim::TimePs tau,
                                  std::int64_t mtu) {
@@ -57,24 +51,6 @@ net::PacketType unblock_frame(FcKind kind) {
     case FcKind::kGfcBuffer: return net::PacketType::kGfcStage;
     default: return net::PacketType::kGfcQueue;  // time-based GFC
   }
-}
-
-std::string summary_label(const FcSetup& fc) {
-  switch (fc.kind) {
-    case FcKind::kNone: return "none";
-    case FcKind::kPfc:
-      if (fc.cbd_free_routing) return "CBD-routing";
-      return fc.pfc_pause_timeout > 0 ? "PFC+expiry" : "PFC";
-    case FcKind::kCbfc:
-      return fc.cbfc_sync_period > 0 ? "CBFC+sync" : "CBFC";
-    case FcKind::kGfcBuffer: return "GFC-buffer";
-    case FcKind::kGfcTime: return "GFC-time";
-    case FcKind::kGfcConceptual: return "GFC-conceptual";
-    case FcKind::kDcfit:
-      return fc.dcfit_break == DcfitBreak::kDropOne ? "DCFIT-drop"
-                                                    : "DCFIT-bypass";
-  }
-  return "?";
 }
 
 }  // namespace gfc::mech

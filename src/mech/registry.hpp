@@ -15,7 +15,6 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -39,9 +38,6 @@ struct MechSpec {
 /// DCFIT-drop, DCFIT-bypass, CBD-routing.
 const std::vector<MechSpec>& all_mechanisms();
 
-/// Registry lookup by name; nullptr when unknown.
-const MechSpec* find_mechanism(std::string_view name);
-
 /// The spec realized as a paper-compliant FcSetup for this buffer / rate /
 /// tau (FcSetup::try_derive plus the spec's heal / break / routing knobs);
 /// nullopt when the buffer is too small for the spec's safety bound.
@@ -53,10 +49,5 @@ std::optional<runner::FcSetup> setup_for(const MechSpec& spec,
 /// The control-frame type whose loss wedges this mechanism (the fault
 /// studies' injection target).
 net::PacketType unblock_frame(runner::FcKind kind);
-
-/// The registry name a realized setup corresponds to — the inverse of
-/// setup_for, used to label RunSummary rows and to round-trip-test the
-/// registry.
-std::string summary_label(const runner::FcSetup& fc);
 
 }  // namespace gfc::mech

@@ -1,36 +1,25 @@
 // Hook point for runtime fault injection on link-control frames.
 //
-// The channel consults the installed hook once per link-control frame at
-// the wire hand-off (transmission complete, before propagation). Data
-// packets are never consulted: the lossless fabrics under study drop
-// control frames (tiny, unacknowledged, fate-shared with a flapping link)
-// long before they corrupt data, and keeping data untouched preserves the
-// lossless-violation accounting. With no hook installed the path is a
-// single null check — baseline runs are bit-for-bit unchanged.
+// An egress port consults the installed hook once per link-control frame
+// at the wire hand-off (transmission complete, before propagation), and
+// the only fault is loss. Data packets are never consulted: the lossless
+// fabrics under study drop control frames (tiny, unacknowledged, fate-
+// shared with a flapping link) long before they corrupt data, and keeping
+// data untouched preserves the lossless-violation accounting. With no hook
+// installed the path is a single null check — baseline runs are bit-for-bit
+// unchanged.
 #pragma once
 
 #include "net/packet.hpp"
-#include "sim/time.hpp"
 
 namespace gfc::net {
 
 class ControlFaultHook {
  public:
-  enum class Action : std::uint8_t {
-    kDeliver,    // forward unharmed
-    kDrop,       // lose the frame on the wire
-    kDuplicate,  // deliver twice (original + clone)
-    kDelay,      // deliver after prop_delay + extra_delay
-  };
-  struct Verdict {
-    Action action = Action::kDeliver;
-    sim::TimePs extra_delay = 0;  // only read for kDelay
-  };
-
   virtual ~ControlFaultHook() = default;
 
-  /// Decide the fate of one link-control frame entering the wire.
-  virtual Verdict on_control_frame(const Packet& pkt) = 0;
+  /// True when the link-control frame entering the wire is lost on it.
+  virtual bool drop(const Packet& pkt) = 0;
 };
 
 }  // namespace gfc::net

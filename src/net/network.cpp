@@ -38,12 +38,8 @@ std::pair<int, int> Network::connect(NodeId a, NodeId b, sim::Rate rate,
   Node& nb = node(b);
   const int pa = na.add_port(rate);
   const int pb = nb.add_port(rate);
-  channels_.push_back(std::make_unique<Channel>(*this, nb, pb, prop_delay));
-  na.port(pa).connect(channels_.back().get());
-  channels_.push_back(std::make_unique<Channel>(*this, na, pa, prop_delay));
-  nb.port(pb).connect(channels_.back().get());
-  na.peers_[static_cast<std::size_t>(pa)] = Node::Peer{b, pb};
-  nb.peers_[static_cast<std::size_t>(pb)] = Node::Peer{a, pa};
+  na.port(pa).connect(nb, pb, prop_delay);
+  nb.port(pb).connect(na, pa, prop_delay);
   return {pa, pb};
 }
 
@@ -71,21 +67,6 @@ void Network::set_link_state(NodeId a, NodeId b, bool up) {
 void Network::reroute_stranded() {
   for (auto& n : nodes_)
     if (auto* s = dynamic_cast<SwitchNode*>(n.get())) s->reroute_stranded();
-}
-
-Packet* Network::clone_control(const Packet& src) {
-  Packet* pkt = pool().acquire();
-  pkt->type = src.type;
-  pkt->priority = src.priority;
-  pkt->size_bytes = src.size_bytes;
-  pkt->src = src.src;
-  pkt->dst = src.dst;
-  pkt->fc_priority = src.fc_priority;
-  pkt->fc_stage = src.fc_stage;
-  pkt->set_fc_value(src.fc_value());
-  pkt->set_fc_trigger(src.fc_trigger_origin(), src.fc_trigger_seq());
-  pkt->created_at = src.created_at;
-  return pkt;
 }
 
 Flow& Network::create_flow(NodeId src, NodeId dst, std::uint8_t priority,

@@ -1,6 +1,6 @@
-// Network: owner of the scheduler, packet pool, nodes, channels, flows and
-// the pluggable congestion-control module. The single place experiments
-// talk to.
+// Network: owner of the scheduler, packet pool, nodes (whose egress ports
+// hold the wires), flows and the pluggable congestion-control module. The
+// single place experiments talk to.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "net/channel.hpp"
 #include "net/fc_module.hpp"
 #include "net/flow.hpp"
 #include "net/host.hpp"
@@ -59,8 +58,8 @@ class Network {
   SwitchNode& add_switch(std::string name, std::int64_t ingress_buffer_bytes);
   HostNode& add_host(std::string name);
 
-  /// Wire a full-duplex link: creates one port on each node and a channel
-  /// in each direction. Returns {port index on a, port index on b}.
+  /// Wire a full-duplex link: creates one port on each node, each sending
+  /// on the wire to the other. Returns {port index on a, port index on b}.
   std::pair<int, int> connect(NodeId a, NodeId b, sim::Rate rate,
                               sim::TimePs prop_delay);
 
@@ -102,14 +101,12 @@ class Network {
   void set_control_delay(sim::TimePs d) { control_delay_ = d; }
   sim::TimePs control_delay() const { return control_delay_; }
 
-  /// Install (or clear) the runtime fault hook consulted by channels for
-  /// every link-control frame. Not owned; the installer must outlive use or
-  /// clear it. Null (the default) keeps the wire perfect.
+  /// Install (or clear) the runtime fault hook egress ports consult for
+  /// every link-control frame they put on the wire. Not owned; the
+  /// installer must outlive use or clear it. Null (the default) keeps the
+  /// wire perfect.
   void set_fault_hook(ControlFaultHook* hook) { fault_hook_ = hook; }
   ControlFaultHook* fault_hook() { return fault_hook_; }
-
-  /// Copy of a link-control frame with a fresh id (fault duplication).
-  Packet* clone_control(const Packet& src);
 
   // --- observation ----------------------------------------------------------
   Counters& counters() { return counters_; }
@@ -153,7 +150,6 @@ class Network {
   PacketPool pool_;
   sim::Rng rng_{0x9FC0DE5EEDull};
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<Channel>> channels_;
   std::deque<Flow> flows_;  // deque: stable Flow& across mid-run create_flow
   std::unique_ptr<CcModule> cc_;
   ControlFaultHook* fault_hook_ = nullptr;

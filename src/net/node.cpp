@@ -40,7 +40,6 @@ int Node::add_port(sim::Rate rate) {
   // Packet carries port indices in 16 bits.
   assert(idx < std::numeric_limits<std::int16_t>::max());
   ports_.push_back(std::make_unique<EgressPort>(*this, idx, rate));
-  peers_.push_back(Peer{});
   return idx;
 }
 

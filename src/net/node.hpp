@@ -59,7 +59,7 @@ class Node {
   /// Ownership transfers to the node.
   virtual void receive(Packet* pkt, int in_port) = 0;
 
-  /// An egress port finished transmitting `pkt` (called before the channel
+  /// An egress port finished transmitting `pkt` (called before the wire
   /// hand-off, at the transmission-complete instant).
   virtual void on_departure(Packet& pkt, int out_port);
 
@@ -88,12 +88,15 @@ class Node {
   EgressPort& port(int i) { return *ports_[static_cast<std::size_t>(i)]; }
   const EgressPort& port(int i) const { return *ports_[static_cast<std::size_t>(i)]; }
 
-  /// Peer wiring (filled by Network::connect).
+  /// The far end of port `port_index`'s wire (set by Network::connect).
   struct Peer {
     NodeId node = kInvalidNode;
     int port = -1;
   };
-  Peer peer(int port_index) const { return peers_[static_cast<std::size_t>(port_index)]; }
+  Peer peer(int port_index) const {
+    const EgressPort& e = port(port_index);
+    return e.peer() != nullptr ? Peer{e.peer()->id(), e.peer_port()} : Peer{};
+  }
 
   /// Create a new port transmitting at `rate`; returns its index.
   int add_port(sim::Rate rate);
@@ -114,14 +117,11 @@ class Node {
   void deliver_control(Packet* pkt, int in_port);
 
  private:
-  friend class Network;
-
   Network& net_;
   sim::Scheduler* sched_;  // &net_.sched(), set in the ctor
   NodeId id_;
   std::string name_;
   std::vector<std::unique_ptr<EgressPort>> ports_;
-  std::vector<Peer> peers_;
   std::unique_ptr<FcModule> fc_;
 };
 

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "net/channel.hpp"
+#include "net/fault_hook.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
 
@@ -15,6 +15,12 @@ EgressPort::EgressPort(Node& owner, int index, sim::Rate line_rate)
       gate_(std::make_unique<OpenGate>()) {}
 
 sim::Scheduler& EgressPort::sched() { return owner_.sched_ref(); }
+
+void EgressPort::connect(Node& peer, int peer_port, sim::TimePs prop_delay) {
+  peer_ = &peer;
+  peer_port_ = peer_port;
+  prop_delay_ = prop_delay;
+}
 
 void EgressPort::set_gate(std::unique_ptr<TxGate> gate) {
   assert(gate != nullptr);
@@ -34,7 +40,6 @@ void EgressPort::set_link_up(bool up) {
   owner_.network().trace_event(
       up ? trace::EventType::kLinkUp : trace::EventType::kLinkDown,
       owner_.id(), index_, -1, 0, 0);
-  if (channel_ != nullptr) channel_->set_up(up);
 }
 
 void EgressPort::cancel_wake() {
@@ -98,7 +103,7 @@ bool EgressPort::probe_hold_and_wait(sim::TimePs now) {
 }
 
 void EgressPort::start_tx(Packet* pkt, bool control) {
-  assert(channel_ != nullptr && "port must be connected");
+  assert(peer_ != nullptr && "port must be connected");
   in_flight_ = pkt;
   in_flight_control_ = control;
   if (!control) {
@@ -127,8 +132,38 @@ void EgressPort::complete_tx() {
     // Release ingress accounting / notify sender pacing before hand-off.
     owner_.on_departure(*pkt, index_);
   }
-  channel_->deliver(pkt);
+  propagate(pkt);
   try_transmit();
+}
+
+void EgressPort::propagate(Packet* pkt) {
+  if (pkt->is_control()) {
+    Network& net = owner_.network();
+    ControlFaultHook* hook = net.fault_hook();
+    if (hook != nullptr && hook->drop(*pkt)) {
+      net.free_packet(pkt);
+      return;
+    }
+  }
+  sim::Scheduler& s = sched();
+  if (!wire_timer_.valid())
+    wire_timer_ = s.register_timer([this] { arrive(wire_.pop_front()); });
+  wire_.push_back(pkt);
+  s.fire_at(wire_timer_, s.now() + prop_delay_);
+}
+
+void EgressPort::arrive(Packet* pkt) {
+  // Arrival-time check: a link that went down mid-propagation loses the
+  // frame (both PHYs are gone; there is no store-and-forward on a wire).
+  if (!link_up_) {
+    Network& net = owner_.network();
+    ++net.counters().wire_lost_packets;
+    net.trace_event(trace::EventType::kWireLost, peer_->id(), peer_port_,
+                    pkt->priority, pkt->id, pkt->size_bytes);
+    net.free_packet(pkt);
+    return;
+  }
+  peer_->receive(pkt, peer_port_);
 }
 
 }  // namespace gfc::net

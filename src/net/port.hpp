@@ -1,11 +1,19 @@
-// Egress port: a control-frame bypass queue and a transmit state machine
-// gated by the attached flow-control mechanism. Data packets stay in the
-// owning node's queues; the port pulls the next one through
-// Node::poll_data when it can transmit.
+// Egress port: a control-frame bypass queue, a transmit state machine
+// gated by the attached flow-control mechanism, and the one-way wire to
+// the peer's ingress. Data packets stay in the owning node's queues; the
+// port pulls the next one through Node::poll_data when it can transmit.
 //
 // Control frames bypass data queues and are never paused/rate limited, but
 // they cannot preempt an in-flight data packet — this produces the MTU/C
 // components of the paper's feedback latency tau (Eq. 6).
+//
+// The wire: serialization happens here, then every packet reaches the peer
+// exactly one propagation delay after hand-off, so any number may be on
+// the wire at once and they arrive in send order. Link-control frames are
+// offered to the Network's ControlFaultHook as they enter the wire, and a
+// link that goes down loses whatever is in flight at its arrival instant —
+// exactly the failure mode that makes edge-triggered protocols (PFC) lose
+// XOFF/XON state.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +26,6 @@
 namespace gfc::net {
 
 class Node;
-class Channel;
 
 /// Transmission gate installed on an egress port by the flow-control
 /// mechanism's upstream half. Decides whether a data packet may start
@@ -48,14 +55,16 @@ class EgressPort {
  public:
   EgressPort(Node& owner, int index, sim::Rate line_rate);
 
-  void connect(Channel* channel) { channel_ = channel; }
-  bool connected() const { return channel_ != nullptr; }
-  Channel* channel() { return channel_; }
+  /// Wire this port to ingress `peer_port` of `peer`, `prop_delay` away.
+  void connect(Node& peer, int peer_port, sim::TimePs prop_delay);
+  /// The far end; null until connected.
+  Node* peer() const { return peer_; }
+  int peer_port() const { return peer_port_; }
 
   /// Link state (runtime failures). A downed port starts no transmissions
-  /// (queued data waits in the owner); its outgoing channel mirrors the
-  /// state so in-flight packets are lost. Callers kick() after bringing it
-  /// back up.
+  /// (queued data waits in the owner), and packets already on its wire are
+  /// lost on arrival (Counters::wire_lost_packets). Callers kick() after
+  /// bringing it back up.
   void set_link_up(bool up);
   bool link_up() const { return link_up_; }
 
@@ -86,6 +95,10 @@ class EgressPort {
   void try_transmit();
   void start_tx(Packet* pkt, bool control);
   void complete_tx();
+  /// Put a fully transmitted packet on the wire.
+  void propagate(Packet* pkt);
+  /// The wire's head reaches the peer: lost if the link went down meanwhile.
+  void arrive(Packet* pkt);
   sim::Scheduler& sched();
 
   /// Drop the pending wake, if any.
@@ -102,7 +115,6 @@ class EgressPort {
   Node& owner_;
   int index_;
   sim::Rate rate_;
-  Channel* channel_ = nullptr;
 
   PacketFifo control_q_;
 
@@ -113,6 +125,15 @@ class EgressPort {
   sim::TimerId wake_timer_{};              // registered on the first wake
   sim::TimePs wake_at_ = sim::kTimeNever;  // its pending firing, if any
   sim::TimerId tx_done_timer_{};           // fires complete_tx
+
+  Node* peer_ = nullptr;
+  int peer_port_ = -1;
+  sim::TimePs prop_delay_ = 0;
+  // Fixed delay and a monotonic clock make the wire a FIFO: one registered
+  // timer pops its head per firing instead of each packet carrying its own
+  // one-shot closure.
+  PacketFifo wire_;
+  sim::TimerId wire_timer_{};  // registered on the first hand-off
 
   std::uint64_t tx_control_bytes_ = 0;
   std::uint64_t tx_control_frames_ = 0;

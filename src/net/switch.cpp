@@ -54,12 +54,6 @@ int SwitchNode::route_for(const Packet& pkt) const {
   return candidates[ecmp_select(salt, id(), ref.n)];
 }
 
-std::int64_t SwitchNode::ingress_bytes_total(int port) const {
-  std::int64_t sum = 0;
-  for (std::int64_t b : ingress_bytes_[static_cast<std::size_t>(port)]) sum += b;
-  return sum;
-}
-
 void SwitchNode::head_targets(int in_port, std::vector<int>* out) const {
   out->clear();
   if (static_cast<std::size_t>(in_port) >= inq_.size()) return;

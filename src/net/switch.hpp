@@ -84,7 +84,6 @@ class SwitchNode final : public Node {
     return ingress_bytes_[static_cast<std::size_t>(port)]
                          [static_cast<std::size_t>(prio)];
   }
-  std::int64_t ingress_bytes_total(int port) const;
 
   /// Egress ports targeted by the current heads of ingress queue
   /// `in_port` (one per active priority) — deadlock wait-for edges.

@@ -1,7 +1,6 @@
 #include "stats/flow_stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace gfc::stats {
 
@@ -23,24 +22,6 @@ double FlowStats::mean_slowdown() const {
   double sum = 0;
   for (const auto& r : records_) sum += r.slowdown;
   return sum / static_cast<double>(records_.size());
-}
-
-double FlowStats::mean_fct_us() const {
-  if (records_.empty()) return 0.0;
-  double sum = 0;
-  for (const auto& r : records_) sum += sim::to_us(r.fct);
-  return sum / static_cast<double>(records_.size());
-}
-
-double FlowStats::slowdown_quantile(double q) const {
-  if (records_.empty()) return 0.0;
-  std::vector<double> s;
-  s.reserve(records_.size());
-  for (const auto& r : records_) s.push_back(r.slowdown);
-  std::sort(s.begin(), s.end());
-  const auto idx = static_cast<std::size_t>(
-      std::llround(q * static_cast<double>(s.size() - 1)));
-  return s[std::min(idx, s.size() - 1)];
 }
 
 sim::TimePs FlowStats::default_ideal_fct(const net::Flow& flow,

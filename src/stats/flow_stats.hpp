@@ -26,9 +26,6 @@ class FlowStats {
   const std::vector<Record>& records() const { return records_; }
   std::size_t count() const { return records_.size(); }
   double mean_slowdown() const;
-  double mean_fct_us() const;
-  /// Slowdown quantile, q in [0,1].
-  double slowdown_quantile(double q) const;
 
   /// Store-and-forward ideal: serialization of the flow + per-hop MTU
   /// forwarding and propagation over `hops` switch hops.

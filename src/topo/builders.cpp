@@ -36,12 +36,6 @@ NodeIndex FatTreeInfo::host(int pod, int idx) const {
   return hosts[static_cast<std::size_t>(pod * per_pod + idx)];
 }
 
-int FatTreeInfo::pod_of_host(NodeIndex h) const {
-  for (std::size_t i = 0; i < hosts.size(); ++i)
-    if (hosts[i] == h) return static_cast<int>(i) / (k * k / 4);
-  return -1;
-}
-
 FatTreeInfo build_fattree(Topology& topo, int k) {
   assert(k >= 2 && k % 2 == 0);
   FatTreeInfo info;

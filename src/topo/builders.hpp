@@ -27,7 +27,6 @@ struct FatTreeInfo {
   NodeIndex host(int pod, int idx) const;  // idx in [0, k^2/4)
   NodeIndex edge(int pod, int e) const { return edges[static_cast<std::size_t>(pod * (k / 2) + e)]; }
   NodeIndex agg(int pod, int a) const { return aggs[static_cast<std::size_t>(pod * (k / 2) + a)]; }
-  int pod_of_host(NodeIndex h) const;
 };
 FatTreeInfo build_fattree(Topology& topo, int k);
 

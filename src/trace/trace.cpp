@@ -117,15 +117,4 @@ bool type_from_name(const std::string& name, EventType* out) {
   return false;
 }
 
-std::string categories_to_string(std::uint32_t mask) {
-  if ((mask & kCatAll) == kCatAll) return "all";
-  std::string out;
-  for (const auto& e : kCategoryNames) {
-    if ((mask & e.bit) == 0) continue;
-    if (!out.empty()) out += ',';
-    out += e.name;
-  }
-  return out.empty() ? "none" : out;
-}
-
 }  // namespace gfc::trace

@@ -161,9 +161,6 @@ class Tracer {
 std::uint32_t parse_categories(const std::string& spec,
                                std::string* error = nullptr);
 
-/// Inverse of parse_categories for a mask: "port,link,..." or "all".
-std::string categories_to_string(std::uint32_t mask);
-
 /// Inverse of type_name; false for unrecognized names (CSV re-import).
 bool type_from_name(const std::string& name, EventType* out);
 

@@ -655,9 +655,19 @@ TEST(CliDeath, RejectsMalformedNumericArguments) {
               "positive number");
   EXPECT_EXIT(run({"--trial-timeout", "0"}), testing::ExitedWithCode(2),
               "positive number");
+  // Past the named bounds the watchdog's nanosecond budget and table1's
+  // sample counts overflow; they exit 2 like a malformed value.
+  EXPECT_EXIT(run({"--trial-timeout", "inf"}), testing::ExitedWithCode(2),
+              "positive number");
+  EXPECT_EXIT(run({"--trial-timeout", "1e300"}), testing::ExitedWithCode(2),
+              "positive number");
   EXPECT_EXIT(run({"--retries", "many"}), testing::ExitedWithCode(2),
               "expected an integer");
   EXPECT_EXIT(run({"--scale", "big"}), testing::ExitedWithCode(2),
+              "positive number");
+  EXPECT_EXIT(run({"--scale", "inf"}), testing::ExitedWithCode(2),
+              "positive number");
+  EXPECT_EXIT(run({"--scale", "1e30"}), testing::ExitedWithCode(2),
               "positive number");
   EXPECT_EXIT(run({"--shard", "3"}), testing::ExitedWithCode(2),
               "expected I/N");

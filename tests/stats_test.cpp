@@ -140,7 +140,6 @@ TEST(FlowStatsTest, SlowdownOfUncontendedFlowIsNearOne) {
   net.run_until(ms(5));
   ASSERT_EQ(stats.count(), 2u);
   EXPECT_NEAR(stats.records()[1].slowdown, 1.0, 0.1);
-  EXPECT_GT(stats.mean_fct_us(), 0.0);
 }
 
 TEST(FlowStatsTest, ContendedFlowsSlowDown) {
@@ -157,7 +156,6 @@ TEST(FlowStatsTest, ContendedFlowsSlowDown) {
   ASSERT_EQ(stats.count(), 4u);
   // 4:1 incast: mean slowdown near 4x (the last finisher saw ~4x).
   EXPECT_GT(stats.mean_slowdown(), 1.8);
-  EXPECT_GT(stats.slowdown_quantile(0.99), 3.0);
 }
 
 TEST(Feedback, QuietWithoutCongestion) {
